@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: compute, decide, convex, oned, propagate, oracle, gen,
-render. JSON is the interchange format; every run prints a RunReport.
-Exit codes: 0 success, 1 infeasible input or validation failure,
-2 malformed input or flags.
+render. JSON is the interchange format; every run prints a RunReport,
+a batch one per file. Exit codes, the worst over a batch: 0 success,
+1 infeasible input or validation failure, 2 malformed input or flags.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .geometry import build_instance, instance_from_json_dict, instance_to_json_dict
 from .oned import Curve1D, GridPoint, frechet_matching_1d, propagate_reachability
@@ -32,19 +33,23 @@ class InputError(Exception):
 @dataclass
 class RunReport:
     command: str
-    input: str  # content digest
+    input: Optional[str]  # content digest; None when the file cannot be read
     parameters: dict = field(default_factory=dict)
     result: object = None
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0  # from before loading the input to the result
+    error: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps({
+        out = {
             "command": self.command,
             "input": self.input,
             "parameters": self.parameters,
             "result": self.result,
             "wall_ms": round(self.wall_ms, 3),
-        })
+        }
+        if self.error is not None:
+            out["error"] = self.error
+        return json.dumps(out)
 
 
 def _digest(raw: bytes) -> str:
@@ -102,24 +107,24 @@ def _seed(args) -> int:
 # -- single-file runners ---------------------------------------------------
 
 def _run_compute(path: str, eps: float) -> RunReport:
-    inst, dig = _load_instance(path)
     t0 = time.perf_counter()
+    inst, dig = _load_instance(path)
     val = approx_optimize(inst, eps)
     return RunReport("compute", dig, {"epsilon": eps}, {"distance": val},
                      (time.perf_counter() - t0) * 1e3)
 
 
 def _run_decide(path: str, delta: float, eps: float) -> RunReport:
-    inst, dig = _load_instance(path)
     t0 = time.perf_counter()
+    inst, dig = _load_instance(path)
     ans = approx_decide(inst, delta, eps)
     return RunReport("decide", dig, {"delta": delta, "epsilon": eps},
                      {"within": bool(ans)}, (time.perf_counter() - t0) * 1e3)
 
 
 def _run_convex(path: str) -> RunReport:
-    inst, dig = _load_instance(path)
     t0 = time.perf_counter()
+    inst, dig = _load_instance(path)
     match = convex_frechet(inst)
     return RunReport("convex", dig, {},
                      {"distance": match.cost,
@@ -128,8 +133,8 @@ def _run_convex(path: str) -> RunReport:
 
 
 def _run_oned(path: str) -> RunReport:
-    (r, b), dig = _load_1d(path)
     t0 = time.perf_counter()
+    (r, b), dig = _load_1d(path)
     match = frechet_matching_1d(r, b)
     return RunReport("oned", dig, {},
                      {"distance": match.cost,
@@ -138,8 +143,8 @@ def _run_oned(path: str) -> RunReport:
 
 
 def _run_propagate(path: str) -> RunReport:
-    (r, b, delta, S, E), dig = _load_1d(path, need_sets=True)
     t0 = time.perf_counter()
+    (r, b, delta, S, E), dig = _load_1d(path, need_sets=True)
     out = propagate_reachability(r, b, delta, S, E)
     return RunReport("propagate", dig, {"delta": delta},
                      {"reachable": sorted([g.i, g.j] for g in out)},
@@ -147,11 +152,11 @@ def _run_propagate(path: str) -> RunReport:
 
 
 def _run_oracle(path: str, metric: str) -> RunReport:
+    t0 = time.perf_counter()
     if metric == "oneD":
         inp, dig = _load_1d(path)
     else:
         inp, dig = _load_instance(path)
-    t0 = time.perf_counter()
     val = frechet_bisect(inp, metric)
     return RunReport("oracle", dig, {"metric": metric}, {"distance": val},
                      (time.perf_counter() - t0) * 1e3)
@@ -168,23 +173,40 @@ _RUNNERS = {
 
 
 def _run_batch(args) -> int:
+    """One report line per file, in order; the exit code is the worst
+    over the files."""
     jobs = max(1, args.jobs)
-    runner = _RUNNERS[args.cmd]
-    code = 0
     if jobs == 1 or len(args.file) == 1:
-        reports = [runner(path, args) for path in args.file]
+        outcomes = [_batch_entry(args.cmd, path, vars(args)) for path in args.file]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futs = [pool.submit(_batch_entry, args.cmd, path, vars(args))
                     for path in args.file]
-            reports = [f.result() for f in futs]
-    for rep in reports:
+            outcomes = [f.result() for f in futs]
+    for rep, _ in outcomes:
+        if rep.error is not None:
+            print(f"error: {rep.error}", file=sys.stderr)
         print(rep.to_json())
-    return code
+    return max(code for _, code in outcomes)
 
 
-def _batch_entry(cmd: str, path: str, argdict: dict) -> RunReport:
-    return _RUNNERS[cmd](path, argparse.Namespace(**argdict))
+def _batch_entry(cmd: str, path: str, argdict: dict) -> tuple[RunReport, int]:
+    """The report of one file and its exit code; a failure becomes a report
+    with an error and no result."""
+    t0 = time.perf_counter()
+    try:
+        return _RUNNERS[cmd](path, argparse.Namespace(**argdict)), 0
+    except InputError as exc:
+        err, code = exc, 2
+    except (ValueError, RuntimeError) as exc:
+        err, code = exc, 1
+    try:
+        with open(path, "rb") as fh:
+            dig = _digest(fh.read())
+    except OSError:
+        dig = None
+    return RunReport(cmd, dig, {}, None, (time.perf_counter() - t0) * 1e3,
+                     error=str(err)), code
 
 
 # -- gen -------------------------------------------------------------------
@@ -323,10 +345,10 @@ def render_svg(inst_or_1d, kind: str) -> str:
 
 
 def _run_render(args) -> int:
+    t0 = time.perf_counter()
     data, dig = _load_json(args.file[0])
     if not isinstance(data, dict) or "R" not in data or "B" not in data:
         raise InputError(f"{args.file[0]}: expected an object with R and B")
-    t0 = time.perf_counter()
     if data["R"] and isinstance(data["R"][0], (list, tuple)):
         inst = instance_from_json_dict(data)
         doc = render_svg(inst, "instance")

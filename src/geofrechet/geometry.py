@@ -5,7 +5,10 @@ with parameters living in [1, n] for a curve with n vertices.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -132,15 +135,35 @@ class PolyCurve:
         return PolyCurve(self.pts[::-1])
 
     def is_simple(self) -> bool:
-        p = self.pts
-        k = len(p) - 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                if j == i + 1:
-                    continue
-                if seg_intersect(p[i], p[i + 1], p[j], p[j + 1]):
-                    return False
-        return True
+        p = self.pts.tolist()
+        segs = list(zip(p, p[1:]))
+        return not any(j > i + 1 and seg_intersect(*segs[i], *segs[j])
+                       for i, j in _bbox_pairs(segs))
+
+
+def _bbox_pairs(segs):
+    """Index pairs (i, j), i < j, of the segments ((x0, y0), (x1, y1)) whose
+    closed bounding boxes overlap, found by a sweep in x."""
+    boxes = [(min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+             for (x0, y0), (x1, y1) in segs]
+    active = []
+    for i in sorted(range(len(segs)), key=lambda i: boxes[i][0]):
+        xlo, _, ylo, yhi = boxes[i]
+        active = [j for j in active if boxes[j][1] >= xlo]
+        for j in active:
+            if boxes[j][2] <= yhi and ylo <= boxes[j][3]:
+                yield (j, i) if j < i else (i, j)
+        active.append(i)
+
+
+def _curves_cross(R: "PolyCurve", B: "PolyCurve") -> bool:
+    """Some edge of R crosses some edge of B; shared endpoints and collinear
+    overlap do not count."""
+    r, b = R.pts.tolist(), B.pts.tolist()
+    segs = list(zip(r, r[1:])) + list(zip(b, b[1:]))
+    k = R.n - 1
+    return any(i < k <= j and seg_intersect(*segs[i], *segs[j])
+               for i, j in _bbox_pairs(segs))
 
 
 def eval_curve(curve: PolyCurve, x: float) -> Point2:
@@ -176,65 +199,109 @@ def _point_in_triangle(p, a, b, c, eps: float = 1e-12) -> bool:
 
 
 def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulate a simple CCW polygon by ear clipping, O(v^2).
+    """Triangulate a simple CCW polygon by ear clipping.
 
     Returns index triples into poly. Collinear vertices are tolerated.
+    Every step clips the lowest-index vertex that is an ear: not reflex at
+    its current neighbours, and no other remaining vertex in the closed
+    triangle they span (a vertex whose neighbours coincide is clipped
+    without a triangle). An ear test looks only at the vertices in a
+    bounding box around the triangle, and a vertex is tested again only
+    when a neighbour or the vertex that blocked it is clipped.
     """
     v = len(poly)
     if v < 3:
         return []
-    idx = list(range(v))
+    P = np.asarray(poly, dtype=float).tolist()
+    prv = [(k - 1) % v for k in range(v)]
+    nxt = [(k + 1) % v for k in range(v)]
+    alive = [True] * v
+    by_x = sorted(range(v), key=lambda k: P[k][0])
+    xs = [P[k][0] for k in by_x]
+    # the eps of _point_in_triangle plus a bound on the rounding error of
+    # orient() over these coordinates (about 4e-15 * big**2)
+    big = max(1.0, max(abs(c) for p in P for c in p))
+    err = 1e-12 + 1e-13 * big * big
+    blocks = defaultdict(list)      # vertex -> the ears it was found inside
+    is_ear = [False] * v
+
+    def candidates(a, b, c, cross):
+        """Remaining vertices that may lie in the closed triangle abc.
+
+        When cross > 4*err, _point_in_triangle holds only where all three
+        orientations exceed -err, so the barycentric coordinates exceed
+        -mu and the point lies in the bounding box grown by 2*mu times its
+        width (height)."""
+        if cross <= 4 * err:
+            return (j for j in range(v) if alive[j])
+        mu = err / (cross - err)
+        xlo, xhi = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+        ylo, yhi = min(a[1], b[1], c[1]), max(a[1], b[1], c[1])
+        sx = 2 * mu * (xhi - xlo) + 1e-12 * big
+        sy = 2 * mu * (yhi - ylo) + 1e-12 * big
+        ylo, yhi = ylo - sy, yhi + sy
+        lo = bisect.bisect_left(xs, xlo - sx)
+        hi = bisect.bisect_right(xs, xhi + sx)
+        return (j for j in by_x[lo:hi] if alive[j] and ylo <= P[j][1] <= yhi)
+
+    def test(k):
+        i0, i2 = prv[k], nxt[k]
+        a, b, c = P[i0], P[k], P[i2]
+        cross = orient(a, b, c)
+        if cross < 0:
+            return False
+        if cross == 0 and a == c:
+            return True
+        for j in candidates(a, b, c, cross):
+            if j != i0 and j != k and j != i2 and _point_in_triangle(P[j], a, b, c):
+                blocks[j].append(k)
+                return False
+        return True
+
+    heap = []
+
+    def retest(k):
+        is_ear[k] = test(k)
+        if is_ear[k]:
+            heapq.heappush(heap, k)
+
+    for k in range(v):
+        retest(k)
     tris: list[tuple[int, int, int]] = []
-    guard = 0
-    while len(idx) > 3 and guard < 4 * v * v:
-        guard += 1
-        ear_found = False
-        k = len(idx)
-        for pos in range(k):
-            i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % k]
-            a, b, c = poly[i0], poly[i1], poly[i2]
-            cross = orient(a, b, c)
-            if cross < 0:
-                continue
-            if cross == 0:
-                # degenerate ear: clip it only if a and c coincide-free
-                da = math.hypot(*(c - a))
-                if da == 0.0:
-                    idx.pop(pos)
-                    ear_found = True
-                    break
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                if _point_in_triangle(poly[j], a, b, c):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if cross > 0:
-                tris.append((i0, i1, i2))
-            idx.pop(pos)
-            ear_found = True
-            break
-        if not ear_found:
+    left = v
+    last = 0
+    while left > 3:
+        while heap and not (alive[heap[0]] and is_ear[heap[0]]):
+            heapq.heappop(heap)
+        if heap:
+            k = heapq.heappop(heap)
+            i0, i2 = prv[k], nxt[k]
+            if orient(P[i0], P[k], P[i2]) > 0:
+                tris.append((i0, k, i2))
+        else:
             # fall back: clip the convex vertex with smallest area violation
             best = None
-            for pos in range(len(idx)):
-                i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]
-                cr = orient(poly[i0], poly[i1], poly[i2])
-                if cr >= 0 and (best is None or cr < best[0]):
-                    best = (cr, pos)
+            for j in range(v):
+                if alive[j]:
+                    cr = orient(P[prv[j]], P[j], P[nxt[j]])
+                    if cr >= 0 and (best is None or cr < best[0]):
+                        best = (cr, j)
             if best is None:
                 break
-            pos = best[1]
-            i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]
-            if orient(poly[i0], poly[i1], poly[i2]) > 0:
-                tris.append((i0, i1, i2))
-            idx.pop(pos)
-    if len(idx) == 3:
-        if orient(poly[idx[0]], poly[idx[1]], poly[idx[2]]) > 0:
-            tris.append((idx[0], idx[1], idx[2]))
+            k = best[1]
+            i0, i2 = prv[k], nxt[k]
+            if orient(P[i0], P[k], P[i2]) > 0:
+                tris.append((i0, k, i2))
+        alive[k] = False
+        left -= 1
+        nxt[i0], prv[i2] = i2, i0
+        last = i0
+        for j in {i0, i2}.union(w for w in blocks.pop(k, ()) if alive[w]):
+            retest(j)
+    if left == 3:
+        t = sorted((last, nxt[last], nxt[nxt[last]]))
+        if orient(P[t[0]], P[t[1]], P[t[2]]) > 0:
+            tris.append(tuple(t))
     return tris
 
 
@@ -312,13 +379,8 @@ def build_instance(R, B) -> PolygonInstance:
             return inst
         raise ValueError("degenerate (zero-area) polygon")
 
-    # crossing check between the two curves (shared endpoints allowed)
-    for i in range(R.n - 1):
-        for j in range(B.n - 1):
-            p1, p2 = R.pts[i], R.pts[i + 1]
-            p3, p4 = B.pts[j], B.pts[j + 1]
-            if seg_intersect(p1, p2, p3, p4):
-                raise ValueError("curves cross")
+    if _curves_cross(R, B):
+        raise ValueError("curves cross")
 
     if area2 < 0:
         # R clockwise builds a clockwise cycle; flip for CCW triangulation
@@ -343,6 +405,36 @@ def build_instance(R, B) -> PolygonInstance:
     for t_i in range(len(tris)):
         adjacency.setdefault(t_i, {})
     return PolygonInstance(R, B, cyc, tris, adjacency)
+
+
+def boundary_params(inst: PolygonInstance):
+    """rpar[k], bpar[k]: the 1-based parameter of boundary vertex k on R and
+    on B, or None when the vertex is not on that curve.
+
+    Follows the layout of build_instance: R forward, then the interior of B
+    backward (B forward without its closing vertex when R is one point),
+    reversed when that runs clockwise."""
+    bd = inst.boundary
+    nb = len(bd)
+    n, m = inst.R.n, inst.B.n
+    rpar = [None] * nb
+    bpar = [None] * nb
+    if n > 1:
+        rpar[:n] = range(1, n + 1)
+        bpar[0] = 1
+        if m > 1:
+            bpar[n - 1] = m
+        for j in range(2, m):
+            bpar[n + m - 1 - j] = j
+        flipped = not np.array_equal(bd[:n], inst.R.pts)
+    else:
+        rpar[0] = 1
+        bpar[:nb] = range(1, nb + 1)
+        flipped = not np.array_equal(bd, inst.B.pts[:nb])
+    if flipped:
+        rpar.reverse()
+        bpar.reverse()
+    return rpar, bpar
 
 
 def instance_to_json_dict(inst: PolygonInstance) -> dict:

@@ -6,7 +6,8 @@ import math
 import random
 from types import SimpleNamespace
 
-from geofrechet.geometry import orient
+import geofrechet.geometry as geometry
+from geofrechet.geometry import orient, seg_intersect
 from geofrechet.geodesic import PAR_TOL, SegmentProfile, get_engine
 
 
@@ -414,3 +415,101 @@ def check_snapping(inst, eps: float, rng, trials: int = 40):
         if snapped > true + eps * delta + 1e-9:
             viol += 1
     return viol, checks
+
+
+# -- all-pairs references for instance validation and triangulation --------
+
+def is_simple_pairwise(pts) -> bool:
+    """No two non-adjacent edges of the polyline cross (open segments),
+    checked over all pairs."""
+    k = len(pts) - 1
+    for i in range(k):
+        for j in range(i + 2, k):
+            if seg_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
+                return False
+    return True
+
+
+def curves_cross_pairwise(R, B) -> bool:
+    """Some edge of R crosses some edge of B (open segments), checked over
+    all pairs."""
+    for i in range(R.n - 1):
+        for j in range(B.n - 1):
+            if seg_intersect(R.pts[i], R.pts[i + 1], B.pts[j], B.pts[j + 1]):
+                return True
+    return False
+
+
+def ear_clip_reference(poly):
+    """Ear clipping that rescans from the lowest-index vertex after every
+    clip and tests every remaining vertex against every candidate ear."""
+    v = len(poly)
+    if v < 3:
+        return []
+    idx = list(range(v))
+    tris = []
+    guard = 0
+    while len(idx) > 3 and guard < 4 * v * v:
+        guard += 1
+        ear_found = False
+        k = len(idx)
+        for pos in range(k):
+            i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % k]
+            a, b, c = poly[i0], poly[i1], poly[i2]
+            cross = orient(a, b, c)
+            if cross < 0:
+                continue
+            if cross == 0:
+                # degenerate ear: clip it only if a and c coincide-free
+                da = math.hypot(*(c - a))
+                if da == 0.0:
+                    idx.pop(pos)
+                    ear_found = True
+                    break
+            ok = True
+            for j in idx:
+                if j in (i0, i1, i2):
+                    continue
+                if geometry._point_in_triangle(poly[j], a, b, c):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if cross > 0:
+                tris.append((i0, i1, i2))
+            idx.pop(pos)
+            ear_found = True
+            break
+        if not ear_found:
+            # fall back: clip the convex vertex with smallest area violation
+            best = None
+            for pos in range(len(idx)):
+                i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]
+                cr = orient(poly[i0], poly[i1], poly[i2])
+                if cr >= 0 and (best is None or cr < best[0]):
+                    best = (cr, pos)
+            if best is None:
+                break
+            pos = best[1]
+            i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]
+            if orient(poly[i0], poly[i1], poly[i2]) > 0:
+                tris.append((i0, i1, i2))
+            idx.pop(pos)
+    if len(idx) == 3:
+        if orient(poly[idx[0]], poly[idx[1]], poly[idx[2]]) > 0:
+            tris.append((idx[0], idx[1], idx[2]))
+    return tris
+
+
+def reference_build_instance(R, B):
+    """build_instance with the all-pairs checks and the reference ear
+    clipping in place of the library's."""
+    saved = (geometry.PolyCurve.is_simple, geometry._curves_cross, geometry.ear_clip)
+    geometry.PolyCurve.is_simple = lambda self: is_simple_pairwise(self.pts)
+    geometry._curves_cross = curves_cross_pairwise
+    geometry.ear_clip = ear_clip_reference
+    try:
+        return geometry.build_instance(R, B)
+    finally:
+        (geometry.PolyCurve.is_simple, geometry._curves_cross,
+         geometry.ear_clip) = saved

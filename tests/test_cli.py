@@ -96,6 +96,44 @@ def test_batch_jobs(tmp_path, capsys):
     assert all(r["command"] == "convex" for r in reps)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_reports_every_file(tmp_path, capsys, jobs):
+    """A failing file gets its own report line with an error and does not
+    stop the batch; the exit code is the worst over the files."""
+    good = write(tmp_path, "cv.json", instance_to_json_dict(gen_convex(8, 1)))
+    notch = write(tmp_path, "notch.json",
+                  {"R": [(-1, 1), (-1, -1), (1, -1)],
+                   "B": [(-1, 1), (0, 1), (0, 0), (1, 0), (1, -1)]})
+    assert main(["convex", "--jobs", jobs, good, notch, good]) == 1
+    out = capsys.readouterr()
+    reps = [json.loads(ln) for ln in out.out.splitlines() if ln]
+    assert len(reps) == 3
+    assert reps[0]["result"]["distance"] > 0 and "error" not in reps[0]
+    assert reps[1]["result"] is None and "not convex" in reps[1]["error"]
+    assert len(reps[1]["input"]) == 16
+    assert reps[2] == {**reps[0], "wall_ms": reps[2]["wall_ms"]}
+    assert "not convex" in out.err
+    missing = str(tmp_path / "nope.json")
+    assert main(["convex", "--jobs", jobs, notch, missing, good]) == 2
+    reps = report(capsys)
+    assert [r["result"] is None for r in reps] == [True, True, False]
+    assert reps[1]["input"] is None and "cannot read" in reps[1]["error"]
+
+
+def test_wall_ms_covers_loading(tmp_path, capsys, monkeypatch):
+    import time
+    from geofrechet import geometry
+    build = geometry.build_instance
+
+    def slow_build(R, B):
+        time.sleep(0.2)
+        return build(R, B)
+    monkeypatch.setattr(geometry, "build_instance", slow_build)
+    f = write(tmp_path, "cv.json", instance_to_json_dict(gen_convex(8, 1)))
+    assert main(["convex", f]) == 0
+    assert report(capsys)[0]["wall_ms"] >= 200
+
+
 def test_exit_code_malformed(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["compute", "--epsilon", "0.1", missing]) == 2

@@ -2,12 +2,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geofrechet.convex import convex_frechet, parallel_matching_cost, tangent_pairs
+from geofrechet.convex import _points_at, convex_frechet, parallel_matching_cost, tangent_pairs
 from geofrechet.generators import gen_convex
 from geofrechet.geometry import build_instance
-from geofrechet.oracle import frechet_bisect
+from geofrechet.oracle import freespace_decide, frechet_bisect
 
 from helpers import matching_cost_euclid
 
@@ -67,3 +70,97 @@ def test_parallel_matching_cost_optional():
              for pm in [parallel_matching_cost(inst, tp)] if pm is not None]
     assert costs
     assert min(costs) == pytest.approx(convex_frechet(inst).cost, abs=1e-9)
+
+
+# -- exactness where the caliper sweep matters -------------------------------
+
+def assert_exact(inst, cost):
+    """cost = d_F up to a relative 1e-6, by two Euclidean free-space
+    decisions."""
+    assert freespace_decide(inst, "euclidean", cost * (1 + 1e-6))
+    assert not freespace_decide(inst, "euclidean", cost * (1 - 1e-6))
+
+
+def split_cycle(pts, k):
+    """Counter-clockwise cycle pts split at vertices 0 and k: R runs
+    counter-clockwise from pts[0] to pts[k], B clockwise."""
+    return pts[:k + 1], [pts[0]] + pts[k:][::-1]
+
+
+@pytest.mark.parametrize("n", [100, 150, 200, 300])
+def test_ellipse_exact(n):
+    rng = random.Random(n)
+    a, b = rng.uniform(1.0, 2.0), rng.uniform(0.5, 1.0)
+    pts = [(a * math.cos(t), b * math.sin(t)) for t in
+           (2 * math.pi * (i + rng.uniform(0.1, 0.9)) / n for i in range(n))]
+    inst = build_instance(*split_cycle(pts, rng.randint(n // 4, 3 * n // 4)))
+    assert_exact(inst, convex_frechet(inst).cost)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (6, 2), (8, 4), (12, 5),
+                                 (20, 10), (64, 32), (64, 17), (100, 50)])
+def test_regular_even_polygon_exact(n, k):
+    """Opposite edges are parallel, so antipodal contacts are edge-edge."""
+    rot = 0.3 * k
+    pts = [(math.cos(rot + 2 * math.pi * i / n), math.sin(rot + 2 * math.pi * i / n))
+           for i in range(n)]
+    inst = build_instance(*split_cycle(pts, k))
+    assert_exact(inst, convex_frechet(inst).cost)
+
+
+@pytest.mark.parametrize("k", [2, 5, 6, 9])
+def test_collinear_vertices_exact(k):
+    """A hexagon with every edge cut into three collinear pieces."""
+    corners = [(math.cos(math.pi * i / 3), 0.6 * math.sin(math.pi * i / 3))
+               for i in range(6)]
+    pts = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        pts += [(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t) for t in (0.0, 0.25, 0.6)]
+    inst = build_instance(*split_cycle(pts, k))
+    assert_exact(inst, convex_frechet(inst).cost)
+
+
+# -- metamorphic properties of the exact solver -----------------------------
+
+convex_instances = st.builds(gen_convex, st.integers(min_value=6, max_value=40),
+                             st.integers(min_value=0, max_value=10 ** 6))
+
+
+def cost_of(R, B):
+    return convex_frechet(build_instance(R, B)).cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(convex_instances, st.floats(min_value=0.01, max_value=100.0))
+def test_scaling_multiplies_cost(inst, s):
+    got = cost_of(inst.R.pts * s, inst.B.pts * s)
+    assert got == pytest.approx(s * convex_frechet(inst).cost, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(convex_instances, st.floats(min_value=0.0, max_value=2 * math.pi),
+       st.floats(min_value=-100.0, max_value=100.0),
+       st.floats(min_value=-100.0, max_value=100.0))
+def test_rigid_motion_keeps_cost(inst, angle, tx, ty):
+    rot = np.array([[math.cos(angle), math.sin(angle)],
+                    [-math.sin(angle), math.cos(angle)]])
+    shift = np.array([tx, ty])
+    got = cost_of(inst.R.pts @ rot + shift, inst.B.pts @ rot + shift)
+    assert got == pytest.approx(convex_frechet(inst).cost, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(convex_instances)
+def test_swap_and_reversal_keep_cost(inst):
+    want = convex_frechet(inst).cost
+    assert cost_of(inst.B.pts, inst.R.pts) == pytest.approx(want, rel=1e-9)
+    assert cost_of(inst.R.pts[::-1], inst.B.pts[::-1]) == pytest.approx(want, rel=1e-9)
+
+
+def test_points_at_matches_eval():
+    """The array evaluation in the pair costs repeats PolyCurve.eval bit for
+    bit."""
+    rng = random.Random(7)
+    for curve in (gen_convex(20, 3).R, gen_convex(9, 4).B):
+        xs = [1.0, 2.0, float(curve.n)] + [rng.uniform(1, curve.n) for _ in range(50)]
+        assert _points_at(curve, xs).tolist() == [list(curve.eval(x)) for x in xs]

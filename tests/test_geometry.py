@@ -1,12 +1,18 @@
 """Instance construction, curves, and serialization."""
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from geofrechet.geometry import (MatchingPath, ParamPoint, PolyCurve,
-                                 build_instance, instance_from_json_dict,
+from geofrechet.generators import gen_pocket
+from geofrechet.geometry import (MatchingPath, ParamPoint, PolyCurve, boundary_params,
+                                 build_instance, ear_clip, instance_from_json_dict,
                                  instance_to_json_dict)
+
+from helpers import ear_clip_reference, reference_build_instance
 
 
 SQUARE_R = [(0, 0), (1, 0)]
@@ -93,3 +99,77 @@ def test_triangulation_covers_area():
         total += 0.5 * abs((pb[0] - pa[0]) * (pc[1] - pa[1]) -
                            (pb[1] - pa[1]) * (pc[0] - pa[0]))
     assert total == pytest.approx(inst.area())
+
+
+# -- validation and triangulation against the all-pairs references ----------
+
+grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def grid_polylines(draw):
+    """Two polylines on a small integer grid sharing both endpoints: they
+    self-cross, touch, overlap collinearly and share endpoints often."""
+    s, e = draw(grid_point), draw(grid_point)
+    R = [s] + draw(st.lists(grid_point, max_size=6)) + [e]
+    B = [s] + draw(st.lists(grid_point, max_size=6)) + [e]
+    return R, B
+
+
+@st.composite
+def star_polygons(draw):
+    """A star-shaped polygon rounded to the integer grid (collinear and
+    touching vertices happen), split into R and B at two vertices."""
+    k = draw(st.integers(4, 24))
+    radii = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    pts = [(round(r * math.cos(2 * math.pi * i / k)), round(r * math.sin(2 * math.pi * i / k)))
+           for i, r in enumerate(radii)]
+    cut = draw(st.integers(1, k - 1))
+    return pts[:cut + 1], [pts[0]] + pts[cut:][::-1]
+
+
+def build_outcome(build, R, B):
+    try:
+        inst = build(R, B)
+    except ValueError as exc:
+        return str(exc)
+    return inst.triangles, inst.degenerate
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grid_polylines(), star_polygons()))
+@example(([(0, 0), (2, 0)], [(0, 0), (1, 0), (1, 1), (2, 0)]))           # touching at (1, 0)
+@example(([(0, 0), (3, 0)], [(0, 0), (1, 0), (2, 0), (2, 1), (3, 0)]))   # collinear overlap
+@example(([(0, 0), (2, 2), (4, 0)], [(0, 0), (2, 0), (2, 2), (4, 0)]))   # shared vertex
+@example(([(0, 0), (2, 2)], [(0, 0), (2, 0), (0, 2), (2, 2)]))           # self-crossing
+def test_build_matches_pairwise_references(curves):
+    R, B = curves
+    assert build_outcome(build_instance, R, B) == build_outcome(reference_build_instance, R, B)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ear_clip_matches_reference(seed):
+    """Collinear runs, and triangles below the orientation tolerance, make
+    ears that stay blocked until another ear is clipped."""
+    rng = random.Random(seed)
+    w = 2 + seed
+    stairs = [(x, 0) for x in range(w + 1)] + [(x, rng.randint(1, 4)) for x in range(w, -1, -1)]
+    tiny = gen_pocket(seed, 12).boundary * 1e-6 + 3.0
+    for poly in (np.array(stairs, dtype=float), tiny):
+        assert ear_clip(poly) == ear_clip_reference(poly)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_params_locate_vertices(seed):
+    """Every vertex of R and of B sits at the boundary index that carries its
+    parameter, whichever way build_instance had to turn the cycle."""
+    base = gen_pocket(seed, 12)
+    for inst in (base, build_instance(base.B.pts, base.R.pts),
+                 build_instance([(0, 0)], [(0, 0), (1, 0), (0, 1), (0, 0)][::1 - 2 * (seed % 2)])):
+        rpar, bpar = boundary_params(inst)
+        for curve, par in ((inst.R, rpar), (inst.B, bpar)):
+            # a closed curve's last vertex is its first
+            assert set(range(1, curve.n)) <= set(par)
+            for k, p in enumerate(par):
+                if p is not None:
+                    assert tuple(inst.boundary[k]) == curve.vertex(p)
