@@ -300,9 +300,13 @@ def _merge_parallel(rn, bn):
 
 
 def _at_level(nodes, k, c):
-    """Parameter where the level reaches c, at node k or on the piece after it."""
+    """Parameter where the level reaches c, at node k or on the piece after it.
+    At the last node c can exceed its level by rounding: both lists end at
+    level c2, but a vertex of the other curve can lie an ulp above c2 and
+    the clamp in _level_nodes carries that to its end. The piece ends at
+    the last node, so that node is the answer."""
     x0, c0 = nodes[k]
-    if c0 >= c - 1e-15:
+    if c0 >= c - 1e-15 or k == len(nodes) - 1:
         return x0
     x1, c1 = nodes[k + 1]
     if c1 - c0 < 1e-15:

@@ -1,9 +1,14 @@
 """Nearest-neighbor profile of R onto B, near/far classification, slab
 partition with entrance/exit intervals, and nearest-neighbor fans.
 
-The profile is built as the lower envelope of the per-edge distance
-profiles along R; envelope breakpoints are located by bisection on the
-difference of the two competing edge distances.
+The profile samples each source edge at `_SAMPLES` points and bisects a
+sample interval only while the nearest target edge differs at its two
+ends. A simple polygon with its geodesic metric is CAT(0), so along one
+source edge the distance to one target edge is convex and the nearest
+point on it moves continuously; the nearest point can only jump where the
+nearest edge changes. Bisection stops at width `_BP_TOL`, where the change
+is kept as a breakpoint unless the nearest point merely slid across the
+vertex shared by two adjacent edges.
 """
 from __future__ import annotations
 
@@ -15,7 +20,9 @@ from .geometry import Point2, PolyCurve, PolygonInstance
 from .geodesic import get_engine
 
 _BP_TOL = 1e-10
-_JUMP = 0.02  # minimal NN-parameter jump treated as a candidate breakpoint
+# Samples per source edge: the resolution at which the near set is found.
+# The maximum does not depend on it (see NNProfile.max_value).
+_SAMPLES = 12
 
 
 class EmptyFanLeaf(Exception):
@@ -43,51 +50,33 @@ class NNProfile:
     """Envelope of nearest points on `target` seen from along `source`."""
     breakpoints: list  # (x, y_before, y_after)
     regimes: list      # (x0, x1, y0, y1)
+    top: float         # largest nearest distance the build evaluated
     inst: PolygonInstance = field(repr=False)
     source: PolyCurve = field(repr=False)
     target: PolyCurve = field(repr=False)
 
     def nn_at(self, x: float):
         """(nearest parameter on target, distance) for source point x."""
-        return _nn_point(self.inst, self.source, self.target, x)
+        return _nn_point(self.inst, self.source, self.target, x)[:2]
 
     def max_value(self) -> float:
-        """sup_x d(source(x), target); seeded at regime ends and vertices,
-        sharpened by golden-section around interior local maxima."""
-        if getattr(self, "_maxv", None) is not None:
-            return self._maxv
-        xs = set()
-        for (x0, x1, _, _) in self.regimes:
-            xs.add(x0)
-            xs.add(x1)
-            for i in range(int(math.ceil(x0)), int(math.floor(x1)) + 1):
-                if x0 <= i <= x1:
-                    xs.add(float(i))
-        if not xs:
-            self._maxv = 0.0
-            return 0.0
-        grid = sorted(xs)
-        best = max(self.nn_at(x)[1] for x in grid)
-        for a, b in zip(grid, grid[1:]):
-            if b - a <= 1e-9:
-                continue
-            pts = [a + (b - a) * k / 8 for k in range(9)]
-            vals = [self.nn_at(x)[1] for x in pts]
-            best = max(best, max(vals))
-            for k in range(1, 8):
-                if vals[k] < vals[k - 1] or vals[k] < vals[k + 1]:
-                    continue
-                lo, hi = pts[k - 1], pts[k + 1]
-                for _ in range(50):
-                    m1 = lo + (hi - lo) * 0.382
-                    m2 = lo + (hi - lo) * 0.618
-                    if self.nn_at(m1)[1] < self.nn_at(m2)[1]:
-                        lo = m1
-                    else:
-                        hi = m2
-                best = max(best, self.nn_at(0.5 * (lo + hi))[1])
-        self._maxv = best
-        return best
+        """sup_x d(source(x), target): the largest value the build
+        evaluated, never below the supremum and above it by at most
+        _BP_TOL times the longest source edge.
+
+        Let g_j(x) be the distance from source(x) to target edge j. Along
+        one source edge g_j is convex, because the polygon is CAT(0). On an
+        interval whose ends have the same nearest edge j, the envelope
+        min_k g_k is at most g_j, whose maximum there sits at an end, where
+        the envelope equals g_j; so the interval adds nothing above its
+        ends. Intervals whose ends have nearest edges a != b are bisected
+        down to width _BP_TOL, where the build also evaluates g_a and g_b
+        at the far ends and takes the smaller. This needs two conditions:
+        the samples split each source edge (every source vertex is a
+        sample), and `SegmentProfile.minimum` is the exact distance to an
+        edge, so that an evaluated value is g_j itself and not a bound.
+        """
+        return self.top
 
     def x_for_target(self, y: float) -> float:
         """Some x whose nearest neighbor is target(y); y must be near."""
@@ -119,69 +108,69 @@ def _edge_min(inst, p, curve, j):
 
 
 def _nn_point(inst, source, target, x):
-    """(global parameter on target, distance) of the nearest point."""
+    """(global parameter on target, distance, target edge) of the nearest
+    point; ties within 1e-12 go to the smaller parameter."""
     p = source.eval(x)
+    if target.n == 1:
+        return 1.0, get_engine(inst).distance(p, tuple(target.pts[0])), 1
     best = None
-    for j in range(1, max(target.n, 2)):
-        if target.n == 1:
-            eng = get_engine(inst)
-            v = eng.distance(p, tuple(target.pts[0]))
-            cand = (1.0, v)
-        else:
-            t, v = _edge_min(inst, p, target, j)
-            cand = (j + t, v)
+    for j in range(1, target.n):
+        t, v = _edge_min(inst, p, target, j)
+        cand = (j + t, v, j)
         if best is None or cand[1] < best[1] - 1e-12 or \
                 (abs(cand[1] - best[1]) <= 1e-12 and cand[0] < best[0]):
             best = cand
     return best
 
 
-def _build_profile(inst, source: PolyCurve, target: PolyCurve,
-                   samples_per_edge: int = 12) -> NNProfile:
-    n = source.n
-    if n == 1 or target.n == 1 or inst.degenerate:
-        y0 = _nn_point(inst, source, target, 1.0)[0] if not inst.degenerate else 1.0
-        y1 = (_nn_point(inst, source, target, float(n))[0]
-              if not inst.degenerate else float(target.n))
-        return NNProfile([], [(1.0, float(n), min(y0, y1), max(y0, y1))],
-                         inst, source, target)
-    xs = []
-    for i in range(1, n):
-        for k in range(samples_per_edge):
-            xs.append(i + k / samples_per_edge)
-    xs.append(float(n))
-    ys = [_nn_point(inst, source, target, x)[0] for x in xs]
+def _jumps(source, target, xa, xb, a, b) -> bool:
+    """Whether the nearest point jumps between source params xa and xb
+    (_BP_TOL apart), whose nearest points a and b lie on different edges.
+    It slides instead when the edges are adjacent and it sits on their
+    shared vertex or moved at most twice as far as the source point."""
+    if abs(a[2] - b[2]) != 1:
+        return True
+    shared = float(max(a[2], b[2]))
+    if a[0] == shared or b[0] == shared:
+        return False
+    moved = math.dist(target.eval(a[0]), target.eval(b[0]))
+    return moved > 2 * math.dist(source.eval(xa), source.eval(xb))
 
-    cuts = []  # (x_before, x_after, y_before, y_after)
-    k = 0
-    stack = [(xs[i], xs[i + 1], ys[i], ys[i + 1]) for i in range(len(xs) - 1)][::-1]
+
+def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
+    n = source.n
+    if inst.degenerate:
+        return NNProfile([], [(1.0, float(n), 1.0, float(target.n))], 0.0,
+                         inst, source, target)
+    xs = [i + k / _SAMPLES for i in range(1, n) for k in range(_SAMPLES)]
+    xs.append(float(n))
+    nns = [_nn_point(inst, source, target, x) for x in xs]
+    top = max(v for (_, v, _) in nns)
+
+    breakpoints = []  # left to right
+    stack = [(xs[i], xs[i + 1], nns[i], nns[i + 1])
+             for i in range(len(xs) - 1)][::-1]
     while stack:
-        xa, xb, ya, yb = stack.pop()
-        k += 1
-        if k > 20000:
-            break
-        if abs(yb - ya) <= _JUMP:
+        xa, xb, a, b = stack.pop()
+        if a[2] == b[2]:
             continue
         if xb - xa <= _BP_TOL:
-            cuts.append((xa, xb, ya, yb))
+            # the envelope here lies below both edges' convex distances
+            top = max(top, min(_edge_min(inst, source.eval(xb), target, a[2])[1],
+                               _edge_min(inst, source.eval(xa), target, b[2])[1]))
+            if _jumps(source, target, xa, xb, a, b):
+                breakpoints.append((0.5 * (xa + xb), a[0], b[0]))
             continue
         xm = 0.5 * (xa + xb)
-        ym = _nn_point(inst, source, target, xm)[0]
-        stack.append((xm, xb, ym, yb))
-        stack.append((xa, xm, ya, ym))
+        mid = _nn_point(inst, source, target, xm)
+        top = max(top, mid[1])
+        stack.append((xm, xb, mid, b))
+        stack.append((xa, xm, a, mid))
 
-    cuts.sort()
-    breakpoints = []
-    regimes = []
-    prev_x = 1.0
-    prev_y = ys[0]
-    for (xa, xb, ya, yb) in cuts:
-        x = 0.5 * (xa + xb)
-        breakpoints.append((x, ya, yb))
-        regimes.append((prev_x, x, min(prev_y, ya), max(prev_y, ya)))
-        prev_x, prev_y = x, yb
-    regimes.append((prev_x, float(n), min(prev_y, ys[-1]), max(prev_y, ys[-1])))
-    return NNProfile(breakpoints, regimes, inst, source, target)
+    ends = [(1.0, None, nns[0][0])] + breakpoints + [(float(n), nns[-1][0], None)]
+    regimes = [(x0, x1, min(y0, y1), max(y0, y1))
+               for (x0, _, y0), (x1, y1, _) in zip(ends, ends[1:])]
+    return NNProfile(breakpoints, regimes, top, inst, source, target)
 
 
 def nn_profile(inst: PolygonInstance) -> NNProfile:

@@ -147,6 +147,38 @@ def segment_profile_bisect(inst, src, a, b) -> SegmentProfile:
     return SegmentProfile([tuple(pc) for pc in merged], a, b)
 
 
+def max_value_reference(prof) -> float:
+    """sup_x of prof.nn_at(x) distances by search, not by the build:
+    regime ends and source vertices, eight points between consecutive
+    ones, and a 50-step golden-section search around each sampled local
+    maximum. It can only undershoot the supremum."""
+    xs = set()
+    for (x0, x1, _, _) in prof.regimes:
+        xs.update((x0, x1))
+        xs.update(float(i) for i in range(math.ceil(x0), math.floor(x1) + 1))
+    grid = sorted(xs)
+    best = max(prof.nn_at(x)[1] for x in grid)
+    for a, b in zip(grid, grid[1:]):
+        if b - a <= 1e-9:
+            continue
+        pts = [a + (b - a) * k / 8 for k in range(9)]
+        vals = [prof.nn_at(x)[1] for x in pts]
+        best = max(best, max(vals))
+        for k in range(1, 8):
+            if vals[k] < vals[k - 1] or vals[k] < vals[k + 1]:
+                continue
+            lo, hi = pts[k - 1], pts[k + 1]
+            for _ in range(50):
+                m1 = lo + (hi - lo) * 0.382
+                m2 = lo + (hi - lo) * 0.618
+                if prof.nn_at(m1)[1] < prof.nn_at(m2)[1]:
+                    lo = m1
+                else:
+                    hi = m2
+            best = max(best, prof.nn_at(0.5 * (lo + hi))[1])
+    return best
+
+
 def matching_cost_geodesic(inst, waypoints) -> float:
     """Max geodesic distance along a bimonotone matching path, evaluated at
     the waypoints plus every integer-parameter cell crossing (distance is

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofrechet.convex import _points_at, convex_frechet, parallel_matching_cost, tangent_pairs
@@ -132,6 +132,7 @@ def cost_of(R, B):
 
 @settings(max_examples=40, deadline=None)
 @given(convex_instances, st.floats(min_value=0.01, max_value=100.0))
+@example(inst=gen_convex(9, 10571), s=35.0)  # a vertex level an ulp above c2
 def test_scaling_multiplies_cost(inst, s):
     got = cost_of(inst.R.pts * s, inst.B.pts * s)
     assert got == pytest.approx(s * convex_frechet(inst).cost, rel=1e-9)

@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from geofrechet.driver import approx_optimize
 from geofrechet.generators import gen_convex, gen_pocket, gen_simple
 from geofrechet.geodesic import get_engine
+from geofrechet.geometry import build_instance
 from geofrechet.nnprofile import (EmptyFanLeaf, build_slabs, fan_leaf,
                                   nn_profile, nn_profile_reverse)
+from geofrechet.oracle import frechet_bisect
+from helpers import max_value_reference
 
 
 def dense_nn(inst, x, samples=400):
@@ -152,3 +156,43 @@ def test_convex_profile_monotone_images():
     ys = [prof.nn_at(1 + (inst.R.n - 1) * k / 100)[0] for k in range(101)]
     for a, b in zip(ys, ys[1:]):
         assert b >= a - 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: gen_pocket(s),
+    lambda s: gen_simple(s, spikes=1),
+    lambda s: gen_simple(s, spikes=2),
+    lambda s: gen_convex(12, s),
+], ids=["pocket", "spikes1", "spikes2", "convex"])
+@pytest.mark.parametrize("seed", range(3))
+def test_max_value_matches_search_reference(make, seed):
+    """The largest value the build evaluated is the maximum: within 1e-9
+    relative of a golden-section search and never below it."""
+    inst = make(seed)
+    for prof in (nn_profile(inst), nn_profile_reverse(inst)):
+        got, ref = prof.max_value(), max_value_reference(prof)
+        assert got >= ref
+        assert got <= ref * (1 + 1e-9)
+
+
+def test_small_jump_across_vertex_is_a_breakpoint():
+    """A 0.016 jump of the nearest point across the apex of a shallow roof
+    (B vertex 4) is a breakpoint and opens a far slab."""
+    inst = build_instance([(0, 0), (10, 0)],
+                          [(0, 0), (0, 2), (4.3, 2), (5.3, 2.004), (6.3, 2),
+                           (10, 2), (10, 0)])
+    prof = nn_profile(inst)
+    jumps = [(y0, y1) for (x, y0, y1) in prof.breakpoints
+             if abs(x - 1.53) < 1e-6]
+    assert len(jumps) == 1
+    y0, y1 = jumps[0]
+    assert y0 == pytest.approx(3.992, abs=1e-3)
+    assert y1 == pytest.approx(4.008, abs=1e-3)
+    dstar = frechet_bisect(inst, "geodesic", tol=1e-10)
+    assert dstar == pytest.approx(2.004, abs=1e-6)
+    slabs = build_slabs(inst, prof, 1.05 * dstar)
+    assert any(s.kind == "far" and 3.99 < s.y_lo < s.y_hi < 4.01
+               for s in slabs)
+    for eps in (0.5, 0.1, 0.05):
+        got = approx_optimize(inst, eps)
+        assert dstar * (1 - 1e-6) <= got <= dstar * (1 + eps) * (1 + 1e-6)
