@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import ParamPoint, Point2, PolyCurve, PolygonInstance
-from .geodesic import GeodesicPath, get_engine, ray_shoot
+from .geodesic import GeodesicPath, _ray_hit, get_engine
 from .oned import Curve1D, GridPoint, propagate_reachability
 from .nearslab import TransitPoint, transit_exits_on_interval
 from .nnprofile import Slab
@@ -79,25 +79,50 @@ def build_separator_anchors(inst: PolygonInstance, b1, b2, delta: float,
     return AnchorSet(sep, anchors, K)
 
 
-def _param_on_curve(curve: PolyCurve, p, tol: float = 1e-7):
-    """Curve parameter of point p, or None if p is not on the curve."""
-    best = None
-    for i in range(1, max(curve.n, 2)):
-        a = curve.pts[min(i, curve.n) - 1]
-        b = curve.pts[min(i + 1, curve.n) - 1]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        L2 = dx * dx + dy * dy
-        if L2 <= 1e-30:
-            t = 0.0
-        else:
-            t = min(max(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / L2, 0.0), 1.0)
-        d = math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
-        if d <= tol and (best is None or d < best[1]):
-            best = (min(i + t, float(curve.n)), d)
-    return None if best is None else best[0]
+class _HitParams:
+    """Parameters on one curve of ray hits on the polygon boundary. A hit
+    on boundary segment k is looked up on the curve edges at the two end
+    vertices of the segment (a subcurve's interior vertices are boundary
+    vertices) and on the first and last edge, whose outer ends may lie
+    inside the segment. Another edge could hold the hit only if two
+    boundary edges without a common vertex came within tol."""
+
+    def __init__(self, inst: PolygonInstance, curve: PolyCurve):
+        self.bd = [tuple(v) for v in inst.boundary.tolist()]
+        self.pts = curve.pts.tolist()
+        self.index = {}
+        for i, v in enumerate(self.pts, 1):
+            self.index.setdefault(tuple(v), []).append(i)
+
+    def param(self, p, k: int, tol: float = 1e-7):
+        """Curve parameter of the point p of boundary segment k, or None if
+        p is not within tol of the curve (the nearest edge wins, then the
+        first)."""
+        n = len(self.pts)
+        last = max(n - 1, 1)
+        edges = {1, last}
+        for v in (self.bd[k], self.bd[(k + 1) % len(self.bd)]):
+            for i in self.index.get(v, ()):
+                edges.update((i - 1, i))
+        best = None
+        for i in sorted(edges):
+            if not 1 <= i <= last:
+                continue
+            a = self.pts[min(i, n) - 1]
+            b = self.pts[min(i + 1, n) - 1]
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            L2 = dx * dx + dy * dy
+            if L2 <= 1e-30:
+                t = 0.0
+            else:
+                t = min(max(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / L2, 0.0), 1.0)
+            d = math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
+            if d <= tol and (best is None or d < best[1]):
+                best = (min(i + t, float(n)), d)
+        return None if best is None else best[0]
 
 
-def _extend_through(inst, eng, p, anchor, target: PolyCurve):
+def _extend_through(inst, eng, p, anchor, target: _HitParams):
     """Parameter where the geodesic p -> anchor, extended straight past the
     anchor, first meets the target curve; None when it misses."""
     path = eng.shortest_path(tuple(p), tuple(anchor))
@@ -109,10 +134,10 @@ def _extend_through(inst, eng, p, anchor, target: PolyCurve):
     if math.hypot(d[0], d[1]) <= 1e-15:
         return None
     try:
-        hit = ray_shoot(inst, tuple(anchor), d)
+        hit, k = _ray_hit(inst, tuple(anchor), d)
     except ValueError:
         return None
-    return _param_on_curve(target, hit)
+    return target.param(hit, k)
 
 
 def _gate_candidates(inst, eng, curve: PolyCurve, anchor):
@@ -133,6 +158,7 @@ def build_gate_sets(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
     curve is paired with the ray extension of its geodesic through the
     anchor onto the other curve."""
     eng = get_engine(inst)
+    rhits, bhits = _HitParams(inst, Rhat), _HitParams(inst, Bhat)
     out = []
     for a in anchorset.anchors[1:-1]:
         pts = []
@@ -154,7 +180,7 @@ def build_gate_sets(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
                 for y in bc:
                     add(x, y)
                 continue
-            y = _extend_through(inst, eng, p, a, Bhat)
+            y = _extend_through(inst, eng, p, a, bhits)
             if y is not None:
                 add(x, y)
         for y in bc:
@@ -163,7 +189,7 @@ def build_gate_sets(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
                 for x in rc:
                     add(x, y)
                 continue
-            x = _extend_through(inst, eng, q, a, Rhat)
+            x = _extend_through(inst, eng, q, a, rhits)
             if x is not None:
                 add(x, y)
         out.append(GateSet(a, pts))

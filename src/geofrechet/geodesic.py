@@ -481,8 +481,9 @@ def edge_profile(inst: PolygonInstance, source, curve: PolyCurve, i: int) -> Edg
                                (cid, i), i + t, v, prof)
 
 
-def ray_shoot(inst: PolygonInstance, origin, direction) -> Point2:
-    """First boundary point hit by the ray from origin along direction."""
+def _ray_hit(inst: PolygonInstance, origin, direction):
+    """(first boundary point hit by the ray from origin along direction,
+    index k of the boundary segment from vertex k to vertex k + 1 it hit)."""
     eng = get_engine(inst)
     ox, oy = float(origin[0]), float(origin[1])
     eng._locate((ox, oy))
@@ -492,17 +493,23 @@ def ray_shoot(inst: PolygonInstance, origin, direction) -> Point2:
         raise ValueError("zero direction")
     dx, dy = dx / nrm, dy / nrm
     best = None
-    for (ax, ay, ex, ey) in eng._seg:
+    for k, (ax, ay, ex, ey) in enumerate(eng._seg):
         den = dx * ey - dy * ex
         if abs(den) < 1e-15:
             continue
         t = ((ax - ox) * ey - (ay - oy) * ex) / den
         u = ((ax - ox) * dy - (ay - oy) * dx) / den
         if t > 1e-9 and -1e-12 <= u <= 1 + 1e-12 and (best is None or t < best):
-            best = t
+            best, seg = t, k
     if best is None:
         raise ValueError("ray does not hit the boundary")
-    return Point2(ox + best * dx, oy + best * dy)
+    return Point2(ox + best * dx, oy + best * dy), seg
+
+
+def ray_shoot(inst: PolygonInstance, origin, direction) -> Point2:
+    """First boundary point hit by the ray from origin along direction."""
+    return _ray_hit(inst, origin, direction)[0]
+
 
 def threshold_crossings(profile: EdgeDistanceProfile, delta: float):
     """Edge parameters (curve parameterization) where distance = delta."""

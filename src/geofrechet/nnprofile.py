@@ -9,6 +9,11 @@ point on it moves continuously; the nearest point can only jump where the
 nearest edge changes. Bisection stops at width `_BP_TOL`, where the change
 is kept as a breakpoint unless the nearest point merely slid across the
 vertex shared by two adjacent edges.
+
+The nearest point itself is found without querying every target edge: a
+geodesic is never shorter than the straight segment, so edges are taken
+in increasing order of their Euclidean distance and the search stops once
+that lower bound exceeds the best geodesic minimum found (see _nn_point).
 """
 from __future__ import annotations
 
@@ -54,10 +59,11 @@ class NNProfile:
     inst: PolygonInstance = field(repr=False)
     source: PolyCurve = field(repr=False)
     target: PolyCurve = field(repr=False)
+    segs: list = field(repr=False)  # _segments(target)
 
     def nn_at(self, x: float):
         """(nearest parameter on target, distance) for source point x."""
-        return _nn_point(self.inst, self.source, self.target, x)[:2]
+        return _nn_point(self.inst, self.source, self.target, self.segs, x)[:2]
 
     def max_value(self) -> float:
         """sup_x d(source(x), target): the largest value the build
@@ -100,27 +106,58 @@ class NNProfile:
         raise ValueError(f"target parameter {y} is not a near point")
 
 
-def _edge_min(inst, p, curve, j):
-    """(t_min in [0,1], value) of d(p, curve edge j)."""
-    eng = get_engine(inst)
-    prof = eng.segment_profile(p, curve.pts[j - 1], curve.pts[j])
-    return prof.minimum()
+def _segments(curve: PolyCurve) -> list:
+    """Edges of curve as float tuples (ax, ay, bx, by), edge j at j - 1."""
+    p = curve.pts.tolist()
+    return [(a[0], a[1], b[0], b[1]) for a, b in zip(p, p[1:])]
 
 
-def _nn_point(inst, source, target, x):
+def _edge_min(inst, p, seg):
+    """(t_min in [0,1], value) of d(p, edge seg)."""
+    ax, ay, bx, by = seg
+    return get_engine(inst).segment_profile(p, (ax, ay), (bx, by)).minimum()
+
+
+def _seg_dist(px, py, seg) -> float:
+    """Straight-line distance from (px, py) to edge seg."""
+    ax, ay, bx, by = seg
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    t = min(max(((px - ax) * dx + (py - ay) * dy) / L2, 0.0), 1.0) if L2 > 0 else 0.0
+    return math.hypot(ax + dx * t - px, ay + dy * t - py)
+
+
+def _nn_point(inst, source, target, segs, x):
     """(global parameter on target, distance, target edge) of the nearest
-    point; ties within 1e-12 go to the smaller parameter."""
+    point; ties within 1e-12 go to the smaller parameter. `segs` is
+    `_segments(target)`.
+
+    A geodesic is never shorter than the straight segment, so the
+    Euclidean distance to an edge bounds its geodesic minimum from below.
+    Edges are queried in increasing order of that bound until it exceeds
+    the best minimum found by more than the 1e-12 tie window and a 1e-9
+    relative slack for the rounding of both computations. A skipped edge
+    cannot tie with the minimum, and the tie-break runs over the queried
+    edges in edge order, as a scan over all edges does; the two can differ
+    only through a chain of pairwise ties longer than the slack."""
     p = source.eval(x)
-    if target.n == 1:
+    if not segs:
         return 1.0, get_engine(inst).distance(p, tuple(target.pts[0])), 1
-    best = None
-    for j in range(1, target.n):
-        t, v = _edge_min(inst, p, target, j)
-        cand = (j + t, v, j)
-        if best is None or cand[1] < best[1] - 1e-12 or \
-                (abs(cand[1] - best[1]) <= 1e-12 and cand[0] < best[0]):
-            best = cand
-    return best
+    px, py = p
+    found = []
+    best = math.inf
+    for lb, j in sorted((_seg_dist(px, py, sg), j) for j, sg in enumerate(segs, 1)):
+        if lb * (1 - 1e-9) > best + 1e-12:
+            break
+        t, v = _edge_min(inst, p, segs[j - 1])
+        found.append((j + t, v, j))
+        best = min(best, v)
+    out = None
+    for cand in sorted(found, key=lambda c: c[2]):
+        if out is None or cand[1] < out[1] - 1e-12 or \
+                (abs(cand[1] - out[1]) <= 1e-12 and cand[0] < out[0]):
+            out = cand
+    return out
 
 
 def _jumps(source, target, xa, xb, a, b) -> bool:
@@ -139,12 +176,13 @@ def _jumps(source, target, xa, xb, a, b) -> bool:
 
 def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
     n = source.n
+    segs = _segments(target)
     if inst.degenerate:
         return NNProfile([], [(1.0, float(n), 1.0, float(target.n))], 0.0,
-                         inst, source, target)
+                         inst, source, target, segs)
     xs = [i + k / _SAMPLES for i in range(1, n) for k in range(_SAMPLES)]
     xs.append(float(n))
-    nns = [_nn_point(inst, source, target, x) for x in xs]
+    nns = [_nn_point(inst, source, target, segs, x) for x in xs]
     top = max(v for (_, v, _) in nns)
 
     breakpoints = []  # left to right
@@ -156,13 +194,13 @@ def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
             continue
         if xb - xa <= _BP_TOL:
             # the envelope here lies below both edges' convex distances
-            top = max(top, min(_edge_min(inst, source.eval(xb), target, a[2])[1],
-                               _edge_min(inst, source.eval(xa), target, b[2])[1]))
+            top = max(top, min(_edge_min(inst, source.eval(xb), segs[a[2] - 1])[1],
+                               _edge_min(inst, source.eval(xa), segs[b[2] - 1])[1]))
             if _jumps(source, target, xa, xb, a, b):
                 breakpoints.append((0.5 * (xa + xb), a[0], b[0]))
             continue
         xm = 0.5 * (xa + xb)
-        mid = _nn_point(inst, source, target, xm)
+        mid = _nn_point(inst, source, target, segs, xm)
         top = max(top, mid[1])
         stack.append((xm, xb, mid, b))
         stack.append((xa, xm, a, mid))
@@ -170,7 +208,7 @@ def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
     ends = [(1.0, None, nns[0][0])] + breakpoints + [(float(n), nns[-1][0], None)]
     regimes = [(x0, x1, min(y0, y1), max(y0, y1))
                for (x0, _, y0), (x1, y1, _) in zip(ends, ends[1:])]
-    return NNProfile(breakpoints, regimes, top, inst, source, target)
+    return NNProfile(breakpoints, regimes, top, inst, source, target, segs)
 
 
 def nn_profile(inst: PolygonInstance) -> NNProfile:

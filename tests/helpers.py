@@ -147,6 +147,43 @@ def segment_profile_bisect(inst, src, a, b) -> SegmentProfile:
     return SegmentProfile([tuple(pc) for pc in merged], a, b)
 
 
+def nn_point_reference(inst, source, target, x):
+    """nnprofile._nn_point by a scan over every target edge: (global
+    parameter on target, distance, target edge) of the nearest point,
+    ties within 1e-12 to the smaller parameter."""
+    eng = get_engine(inst)
+    p = source.eval(x)
+    if target.n == 1:
+        return 1.0, eng.distance(p, tuple(target.pts[0])), 1
+    best = None
+    for j in range(1, target.n):
+        t, v = eng.segment_profile(p, target.pts[j - 1], target.pts[j]).minimum()
+        cand = (j + t, v, j)
+        if best is None or cand[1] < best[1] - 1e-12 or \
+                (abs(cand[1] - best[1]) <= 1e-12 and cand[0] < best[0]):
+            best = cand
+    return best
+
+
+def param_on_curve_reference(curve, p, tol: float = 1e-7):
+    """Curve parameter of point p by a scan over every edge of the curve
+    (the nearest edge within tol wins, then the first), or None."""
+    best = None
+    for i in range(1, max(curve.n, 2)):
+        a = curve.pts[min(i, curve.n) - 1]
+        b = curve.pts[min(i + 1, curve.n) - 1]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        L2 = dx * dx + dy * dy
+        if L2 <= 1e-30:
+            t = 0.0
+        else:
+            t = min(max(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / L2, 0.0), 1.0)
+        d = math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
+        if d <= tol and (best is None or d < best[1]):
+            best = (min(i + t, float(curve.n)), d)
+    return None if best is None else best[0]
+
+
 def max_value_reference(prof) -> float:
     """sup_x of prof.nn_at(x) distances by search, not by the build:
     regime ends and source vertices, eight points between consecutive

@@ -1,7 +1,11 @@
 """End-to-end geodesic Frechet decision and optimization."""
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geofrechet.convex import convex_frechet
 from geofrechet.driver import (approx_decide, approx_optimize, decision_chain,
@@ -10,6 +14,8 @@ from geofrechet.generators import gen_convex, gen_pocket, gen_simple
 from geofrechet.geodesic import get_engine
 from geofrechet.geometry import build_instance
 from geofrechet.oracle import frechet_bisect, freespace_decide
+
+from helpers import random_instance
 
 
 def square():
@@ -123,3 +129,43 @@ def test_optimize_clamped_to_hausdorff_window():
 def test_optimize_rejects_bad_eps():
     with pytest.raises(ValueError):
         approx_optimize(square(), 0.0)
+
+
+# -- metamorphic properties of the optimizer ---------------------------------
+
+# sweep-style instances (criterion 5's families) with n + m <= 16
+sweep_instances = st.builds(random_instance, st.integers(min_value=0, max_value=10 ** 6),
+                            st.just(16))
+eps_values = st.sampled_from([0.5, 0.1, 0.05])
+
+
+def optimize(R, B, eps):
+    return approx_optimize(build_instance(R, B), eps)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sweep_instances, eps_values, st.floats(min_value=0.01, max_value=100.0))
+def test_optimize_scaling(inst, eps, s):
+    got = optimize(inst.R.pts * s, inst.B.pts * s, eps)
+    assert got == pytest.approx(s * approx_optimize(inst, eps), rel=1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sweep_instances, eps_values, st.floats(min_value=0.0, max_value=2 * math.pi),
+       st.floats(min_value=-100.0, max_value=100.0),
+       st.floats(min_value=-100.0, max_value=100.0))
+def test_optimize_rigid_motion(inst, eps, angle, tx, ty):
+    rot = np.array([[math.cos(angle), math.sin(angle)],
+                    [-math.sin(angle), math.cos(angle)]])
+    shift = np.array([tx, ty])
+    got = optimize(inst.R.pts @ rot + shift, inst.B.pts @ rot + shift, eps)
+    assert got == pytest.approx(approx_optimize(inst, eps), rel=1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sweep_instances, eps_values)
+def test_optimize_swap_and_reversal(inst, eps):
+    want = approx_optimize(inst, eps)
+    assert optimize(inst.B.pts, inst.R.pts, eps) == pytest.approx(want, rel=1e-9)
+    assert optimize(inst.R.pts[::-1], inst.B.pts[::-1], eps) == \
+        pytest.approx(want, rel=1e-9)

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from geofrechet.farslab import (build_gate_sets, build_separator_anchors,
-                                far_decide, far_find_exit, snapped_curves)
+from geofrechet.farslab import (_HitParams, build_gate_sets,
+                                build_separator_anchors, far_decide,
+                                far_find_exit, snapped_curves)
 from geofrechet.generators import gen_pocket, gen_simple
-from geofrechet.geodesic import get_engine, shortest_path
+from geofrechet.geodesic import _ray_hit, get_engine, shortest_path
 from geofrechet.geometry import ParamPoint, build_instance
 from geofrechet.nearslab import TransitPoint, transit_exits_on_interval
 from geofrechet.nnprofile import build_slabs, nn_profile
 from geofrechet.oracle import frechet_bisect, freespace_decide
 
-from helpers import sub_instance
+from helpers import param_on_curve_reference, sub_instance
 
 
 def strip():
@@ -209,3 +210,42 @@ def test_far_find_exit_requires_far_slab():
     ent = TransitPoint(ParamPoint(near[0].entrance[0], near[0].y_lo), "vertex")
     with pytest.raises(ValueError):
         far_find_exit(inst, near[0], ent, delta, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hit_params_match_full_scan(seed):
+    """A ray hit looked up only on the curve edges at the ends of the hit
+    boundary segment, and on the first and last edge, gets the parameter a
+    scan over every edge gets, on whole curves and on subcurves."""
+    inst = gen_pocket(seed) if seed % 2 == 0 else gen_simple(seed, spikes=1)
+    eng = get_engine(inst)
+    rng = random.Random(seed)
+    n, m = inst.R.n, inst.B.n
+    curves = [inst.R, inst.B, inst.R.subcurve(1.0, 1.0)]
+    for _ in range(4):
+        x0, x1 = sorted(rng.uniform(1, n) for _ in range(2))
+        y0, y1 = sorted(rng.uniform(1, m) for _ in range(2))
+        curves += [inst.R.subcurve(x0, x1), inst.B.subcurve(y0, y1),
+                   inst.R.subcurve(float(int(x0)), x1), inst.B.subcurve(y0, float(m))]
+    lookups = [(c, _HitParams(inst, c)) for c in curves]
+    origins = []
+    for _ in range(6):
+        w = shortest_path(inst, tuple(inst.R.eval(rng.uniform(1, n))),
+                          tuple(inst.B.eval(rng.uniform(1, m)))).waypoints
+        origins.append(((w[0][0] + w[1][0]) / 2, (w[0][1] + w[1][1]) / 2))
+    hits = 0
+    for o in origins:
+        dirs = [(math.cos(a), math.sin(a))
+                for a in (2 * math.pi * k / 24 for k in range(24))]
+        dirs += [(v[0] - o[0], v[1] - o[1]) for v in inst.boundary.tolist()]
+        for d in dirs:
+            if math.hypot(*d) < 1e-9:
+                continue
+            try:
+                hit, k = _ray_hit(inst, o, d)
+            except ValueError:  # an origin on the boundary, looking out
+                continue
+            hits += 1
+            for c, lookup in lookups:
+                assert lookup.param(hit, k) == param_on_curve_reference(c, hit)
+    assert hits > 100
