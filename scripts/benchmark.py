@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Measure comb-family 1D scaling and publish docs/benchmark.md."""
+"""Measure comb-family 1D scaling and convex-solver scaling, and publish
+docs/benchmark.md."""
 import math
 import os
 import platform
+import random
 import time
 
+from geofrechet.convex import convex_frechet
 from geofrechet.generators import gen_comb_1d
+from geofrechet.geometry import build_instance
 from geofrechet.oned import frechet_matching_1d, propagate_reachability
 
 SIZES = [1000, 10000, 100000]
+CONVEX_SIZES = [200, 400, 800, 1600, 3200]
 REPS = 3
 
 
@@ -26,14 +31,46 @@ def bench(n):
     return tm, tp
 
 
+def ellipse(seed, n):
+    """n points on a random ellipse at jittered even angles, split at a
+    random vertex, as in the convex benchmark workload."""
+    rng = random.Random(seed)
+    a, b = rng.uniform(1.0, 2.0), rng.uniform(0.5, 1.0)
+    pts = [(a * math.cos(t), b * math.sin(t)) for t in
+           (2 * math.pi * (i + rng.uniform(0.1, 0.9)) / n for i in range(n))]
+    k = rng.randint(n // 4, 3 * n // 4)
+    return pts[:k + 1], [pts[0]] + pts[k:][::-1]
+
+
+def bench_convex(n):
+    R, B = ellipse(1000 * n, n)
+    tb = ts = math.inf
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        inst = build_instance(R, B)
+        t1 = time.perf_counter()
+        convex_frechet(inst)
+        t2 = time.perf_counter()
+        tb = min(tb, t1 - t0)
+        ts = min(ts, t2 - t1)
+    return tb, ts
+
+
+def slope(sizes, times):
+    return math.log(times[-1] / times[0]) / math.log(sizes[-1] / sizes[0])
+
+
 def main():
     rows = [(n, *bench(n)) for n in SIZES]
-    s_m = math.log(rows[-1][1] / rows[0][1]) / math.log(SIZES[-1] / SIZES[0])
-    s_p = math.log(rows[-1][2] / rows[0][2]) / math.log(SIZES[-1] / SIZES[0])
+    s_m = slope(SIZES, [r[1] for r in rows])
+    s_p = slope(SIZES, [r[2] for r in rows])
+    crows = [(n, *bench_convex(n)) for n in CONVEX_SIZES]
+    s_b = slope(CONVEX_SIZES, [r[1] for r in crows])
+    s_s = slope(CONVEX_SIZES, [r[2] for r in crows])
     out = os.path.join(os.path.dirname(__file__), "..", "docs", "benchmark.md")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w") as fh:
-        fh.write("# Scaling benchmark: comb-family 1D instances\n\n")
+        fh.write("# Scaling benchmark\n\n## Comb-family 1D instances\n\n")
         fh.write("Wall time (best of %d runs) of the exact 1D matcher and the\n"
                  "seed-set reachability propagation on comb instances with\n"
                  "n = m teeth. Both are expected to scale near O(n log n);\n"
@@ -45,9 +82,22 @@ def main():
             fh.write(f"| {n} | {tm:.4f} | {tp:.4f} |\n")
         fh.write(f"\nLog-log slope over the full range: matching {s_m:.3f}, "
                  f"propagation {s_p:.3f}.\n\n")
+        fh.write("## Convex polygons\n\n")
+        fh.write("Wall time (best of %d runs) of `build_instance` and of\n"
+                 "`convex_frechet` on a fresh instance, for an ellipse with N\n"
+                 "boundary vertices split at a random vertex (seed 1000·N).\n"
+                 "The target for the solve is a log-log slope of at most 1.2.\n\n"
+                 % REPS)
+        fh.write("| N | build_instance (s) | convex_frechet (s) |\n")
+        fh.write("|---:|---:|---:|\n")
+        for (n, tb, ts) in crows:
+            fh.write(f"| {n} | {tb:.4f} | {ts:.4f} |\n")
+        fh.write(f"\nLog-log slope over the full range: build {s_b:.3f}, "
+                 f"solve {s_s:.3f}.\n\n")
         fh.write(f"Environment: Python {platform.python_version()}, "
                  f"{platform.system()} {platform.machine()}, single process.\n")
-    print(f"wrote {os.path.normpath(out)} (slopes {s_m:.3f} / {s_p:.3f})")
+    print(f"wrote {os.path.normpath(out)} (comb slopes {s_m:.3f} / {s_p:.3f}, "
+          f"convex solve slope {s_s:.3f})")
 
 
 if __name__ == "__main__":

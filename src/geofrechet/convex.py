@@ -8,17 +8,23 @@ step costs O(1) amortized plus the size of its contact sets; whether a
 contact lies on R or on B, and its curve parameter, is read off its
 boundary index.
 
-A candidate matching is built per antipodal tangent pair: two endpoint
-fans around the shared endpoints plus a middle part that matches points
-lying on a common line parallel to r*-b*. It costs O(n + m) per pair, with
-curve points evaluated as arrays. The minimum over all caliper pairs is
-the exact Fréchet distance; with O(N) pairs the solver is O(N^2).
+Each antipodal tangent pair splits a matching into two endpoint fans around
+the shared endpoints and a middle part that matches points lying on a
+common line parallel to r*-b*. The split costs O(n + m) array steps per
+pair and gives a lower bound on the pair's cost: max(d*, fan cost), where
+d* = |r* - b*| is the cost of the middle part (the affine-diameter
+property of convex bodies). `convex_frechet` visits the pairs in
+increasing bound and builds a pair's full matching only while its bound is
+below the best cost found, which is one merge unless bounds tie. The
+minimum over all caliper pairs is the exact Fréchet distance. With O(N)
+pairs and O(N) level arrays per split the solver is still O(N^2), in
+numpy rather than in Python steps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,16 +39,6 @@ class TangentPair:
     r_star: Point2
     b_star: Point2
     direction: Point2  # unit direction of the parallel tangent lines
-
-
-@dataclass
-class ParallelMatching:
-    fan1: tuple
-    parallel: tuple  # (x1, x2, y1, y2)
-    fan2: tuple
-    cost: float
-    d_star: float
-    waypoints: list
 
 
 def _seg_seg_closest(a0, a1, b0, b1):
@@ -188,11 +184,6 @@ def tangent_pairs(inst: PolygonInstance) -> list[TangentPair]:
     return [pair for _, pair in out]
 
 
-def _psi_values(curve, u):
-    """Levels <u, c_i> of the curve's vertices, as a list of floats."""
-    return (curve.pts @ np.array(u)).tolist()
-
-
 def _points_at(curve, xs):
     """The points curve.eval gives at the parameters xs, as a (k, 2) array."""
     pts = curve.pts
@@ -211,118 +202,69 @@ def _dists(P, Q):
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def _first_up_crossing(psi, c, start, tol):
-    """Smallest parameter >= start where psi rises strictly above level c.
+def _level_at(psi, x):
+    """The vertex levels psi interpolated at curve parameter x."""
+    if len(psi) == 1:
+        return psi[0]
+    i = max(min(int(math.floor(x)), len(psi) - 1), 1)
+    return psi[i - 1] + (psi[i] - psi[i - 1]) * (x - i)
 
-    Returns the crossing parameter, or None when psi stays <= c."""
-    n = len(psi)
-    if n == 1:
-        return None
-    x = start
-    i0 = int(math.floor(start))
-    for i in range(max(1, i0), n):
-        t0 = max(start, float(i))
-        v0 = psi[i - 1] + (psi[i] - psi[i - 1]) * (t0 - i)
-        v1 = psi[i]
-        if v0 > c + tol:
-            return t0
-        if v1 > c + tol:
-            if abs(v1 - v0) < 1e-18:
-                return t0
-            t = t0 + (c - v0) / (v1 - v0) * (float(i + 1) - t0) if v0 < c else t0
-            return min(max(t, t0), float(i + 1))
-    return None
+
+def _up_crossing(psi, c, start, tol):
+    """Smallest parameter >= start where psi rises strictly above level c:
+    on the edge ending at the first vertex above c + tol. The curve's last
+    parameter when psi stays <= c + tol."""
+    i0 = max(int(math.floor(start)), 1)
+    v0 = _level_at(psi, start)
+    if v0 > c + tol:
+        return start
+    above = np.flatnonzero(psi[i0:] > c + tol)
+    if not len(above):
+        return float(len(psi))
+    i = i0 + int(above[0])
+    t0, v0 = (start, v0) if i == i0 else (float(i), psi[i - 1])
+    v1 = psi[i]
+    t = t0 + (c - v0) / (v1 - v0) * (float(i + 1) - t0) if v0 < c else t0
+    return min(max(t, t0), float(i + 1))
 
 
 def _monotone_on(psi, a, b, tol):
     """psi non-decreasing along the curve parameters [a, b]."""
-    lo = int(math.ceil(a - 1e-12))
-    hi = int(math.floor(b + 1e-12))
-    vals = []
-
-    def at(x):
-        if len(psi) == 1:
-            return psi[0]
-        i = min(int(math.floor(x)), len(psi) - 1)
-        i = max(i, 1)
-        return psi[i - 1] + (psi[i] - psi[i - 1]) * (x - i)
-
-    vals.append(at(a))
-    vals.extend(psi[i - 1] for i in range(lo, hi + 1) if a - 1e-12 < i < b + 1e-12)
-    vals.append(at(b))
-    return all(vals[k + 1] >= vals[k] - tol for k in range(len(vals) - 1))
+    lo = math.floor(a - 1e-12) + 1
+    hi = math.ceil(b + 1e-12) - 1
+    vals = np.concatenate(([_level_at(psi, a)], psi[lo - 1:hi], [_level_at(psi, b)]))
+    return bool(np.all(vals[1:] >= vals[:-1] - tol))
 
 
-def _fan_max(curve, x1, x2, s1, s2):
-    """Largest distance from s1 to curve[1, x1] and from s2 to curve[x2, n].
-
-    The distance to a point is convex on every edge, so it peaks at an end
-    of a piece or at a vertex inside it."""
-    n = curve.n
-    head = [1.0, x1] + list(range(1, int(math.floor(x1)) + 1))
-    tail = [x2, float(n)] + list(range(int(math.ceil(x2)), n + 1))
-    P = _points_at(curve, head + tail)
-    k = len(head)
-    return float(max(_dists(P[:k], s1).max(), _dists(P[k:], s2).max()))
+def _fan_maxima(inst):
+    """Per curve, the prefix maxima of the vertex distances to s1 and the
+    suffix maxima of those to s2."""
+    s1, s2 = inst.R.pts[0], inst.R.pts[-1]
+    return [(np.maximum.accumulate(_dists(c.pts, s1)),
+             np.maximum.accumulate(_dists(c.pts, s2)[::-1])[::-1])
+            for c in (inst.R, inst.B)]
 
 
-def _level_nodes(curve, psi, a, b, ca, cb):
-    """Ordered (param, level) nodes of the monotone piece [a, b]."""
-    nodes = [(a, ca)]
-    for i in range(int(math.ceil(a - 1e-12)), int(math.floor(b + 1e-12)) + 1):
-        if a + 1e-12 < i < b - 1e-12:
-            nodes.append((float(i), psi[i - 1]))
-    nodes.append((b, cb))
-    # clamp tiny numeric dips so the merge below stays monotone
-    out = [nodes[0]]
-    for (x, c) in nodes[1:]:
-        out.append((x, max(c, out[-1][1])))
-    return out
+class _Split(NamedTuple):
+    bound: float  # max(d*, fan cost), at most the pair's cost
+    fan_cost: float
+    u: np.ndarray  # unit normal of the level lines, s1 to s2 ascending
+    levels: tuple  # (c1, c2): the levels of s1 and s2
+    params: tuple  # (x1, x2, y1, y2): the parallel part of R and B
 
 
-def _merge_parallel(rn, bn):
-    """Merge level-node lists into matched waypoints at every event level,
-    returned as the lists of their R and B parameters."""
-    xs, ys = [rn[0][0]], [bn[0][0]]
-    lr, lb = len(rn) - 1, len(bn) - 1
-    ir = ib = 0
-    while ir < lr or ib < lb:
-        nr = rn[ir + 1][1] if ir < lr else math.inf
-        nb = bn[ib + 1][1] if ib < lb else math.inf
-        c = min(nr, nb)
-        if nr <= nb + 1e-15 and ir < lr:
-            ir += 1
-        if nb <= nr + 1e-15 and ib < lb:
-            ib += 1
-        xs.append(max(_at_level(rn, ir, c), xs[-1]))
-        ys.append(max(_at_level(bn, ib, c), ys[-1]))
-    return xs, ys
+def _split(inst: PolygonInstance, pair: TangentPair, fans) -> Optional[_Split]:
+    """Split of the matching for one tangent pair into two endpoint fans
+    and a parallel part, or None when the level function is not monotone
+    on the parallel part (invalid split).
 
-
-def _at_level(nodes, k, c):
-    """Parameter where the level reaches c, at node k or on the piece after it.
-    At the last node c can exceed its level by rounding: both lists end at
-    level c2, but a vertex of the other curve can lie an ulp above c2 and
-    the clamp in _level_nodes carries that to its end. The piece ends at
-    the last node, so that node is the answer."""
-    x0, c0 = nodes[k]
-    if c0 >= c - 1e-15 or k == len(nodes) - 1:
-        return x0
-    x1, c1 = nodes[k + 1]
-    if c1 - c0 < 1e-15:
-        return x1
-    t = (c - c0) / (c1 - c0)
-    return x0 + (x1 - x0) * min(max(t, 0.0), 1.0)
-
-
-def parallel_matching_cost(inst: PolygonInstance, pair: TangentPair) -> Optional[ParallelMatching]:
-    """Candidate matching for one tangent pair, or None when the level
-    function is not monotone on the middle part (invalid split)."""
-    _check_convex(inst)
+    The parallel part matches points on common lines perpendicular to u.
+    By the affine-diameter property its cost is d* = |r* - b*|; the fans
+    cost their largest distance to s1 and to s2. The distance to a point
+    is convex along an edge, so a fan peaks at a vertex or a partial-edge
+    end."""
     R, B = inst.R, inst.B
-    n, m = R.n, B.n
-    s1 = R.vertex(1)
-    s2 = R.vertex(n)
+    s1, s2 = R.vertex(1), R.vertex(R.n)
     vx, vy = pair.r_star[0] - pair.b_star[0], pair.r_star[1] - pair.b_star[1]
     d_star = math.hypot(vx, vy)
     if d_star < 1e-15:
@@ -331,51 +273,71 @@ def parallel_matching_cost(inst: PolygonInstance, pair: TangentPair) -> Optional
         u = (-vy / d_star, vx / d_star)
     if u[0] * (s2[0] - s1[0]) + u[1] * (s2[1] - s1[1]) < 0:
         u = (-u[0], -u[1])
-    psir = _psi_values(R, u)
-    psib = _psi_values(B, u)
     c1 = u[0] * s1[0] + u[1] * s1[1]
     c2 = u[0] * s2[0] + u[1] * s2[1]
-    scale = max(1.0, max(map(abs, psir)), max(map(abs, psib)))
-    tol = _TOL * scale
+    u = np.array(u)
+    psis = [R.pts @ u, B.pts @ u]
+    tol = _TOL * max(1.0, *(float(np.abs(psi).max()) for psi in psis))
 
-    x1 = _first_up_crossing(psir, c1, 1.0, tol)
-    y1 = _first_up_crossing(psib, c1, 1.0, tol)
-    x1 = float(n) if x1 is None else x1
-    y1 = float(m) if y1 is None else y1
-    x2 = _first_up_crossing(psir, c2, x1, tol)
-    y2 = _first_up_crossing(psib, c2, y1, tol)
-    x2 = float(n) if x2 is None else x2
-    y2 = float(m) if y2 is None else y2
-    if not (_monotone_on(psir, x1, x2, tol) and _monotone_on(psib, y1, y2, tol)):
-        return None
+    params, fan_cost = [], 0.0
+    for curve, psi, (head, tail) in zip((R, B), psis, fans):
+        a = _up_crossing(psi, c1, 1.0, tol)
+        b = _up_crossing(psi, c2, a, tol)
+        if not _monotone_on(psi, a, b, tol):
+            return None
+        ends = _dists(_points_at(curve, [a, b]), np.array([s1, s2]))
+        fan_cost = max(fan_cost, head[math.floor(a) - 1], tail[math.ceil(b) - 1], *ends)
+        params += [a, b]
+    fan_cost = float(fan_cost)
+    return _Split(max(d_star, fan_cost), fan_cost, u, (c1, c2), tuple(params))
 
-    fan_cost = max(_fan_max(R, x1, x2, s1, s2), _fan_max(B, y1, y2, s1, s2))
 
-    rn = _level_nodes(R, psir, x1, x2, c1, c2)
-    bn = _level_nodes(B, psib, y1, y2, c1, c2)
-    xs, ys = _merge_parallel(rn, bn)
-    par_cost = float(_dists(_points_at(R, xs), _points_at(B, ys)).max())
+def _piece(psi, a, b, ca, cb):
+    """Parameters and running-maximum levels of the monotone piece [a, b]."""
+    ks = np.arange(math.floor(a + 1e-12) + 1, math.ceil(b - 1e-12))
+    levels = np.concatenate(([ca], psi[ks - 1], [cb]))
+    return np.concatenate(([a], ks, [b])), np.maximum.accumulate(levels)
 
-    wps = [ParamPoint(1.0, 1.0)]
-    if y1 > 1.0:
-        wps.append(ParamPoint(1.0, y1))
-    if x1 > 1.0:
-        wps.append(ParamPoint(x1, y1))
-    for x, y in zip(xs, ys):
-        if x > wps[-1].x + 1e-15 or y > wps[-1].y + 1e-15:
-            wps.append(ParamPoint(x, y))
-    if wps[-1] != ParamPoint(x2, y2):
-        wps.append(ParamPoint(max(x2, wps[-1].x), max(y2, wps[-1].y)))
-    if wps[-1].y < float(m):
-        wps.append(ParamPoint(wps[-1].x, float(m)))
-    if wps[-1].x < float(n):
-        wps.append(ParamPoint(float(n), float(m)))
 
-    cost = max(fan_cost, par_cost)
-    return ParallelMatching(fan1=(s1, (1.0, x1), (1.0, y1)),
-                            parallel=(x1, x2, y1, y2),
-                            fan2=(s2, (x2, float(n)), (y2, float(m))),
-                            cost=cost, d_star=d_star, waypoints=wps)
+def _params_at(X, L, c):
+    """First and last parameter of the piece (X, L) at each level in c."""
+    k = np.minimum(np.searchsorted(L, c), len(L) - 1)
+    j = np.maximum(np.searchsorted(L, c, side="right") - 1, 0)
+    lo = np.maximum(k - 1, 0)
+    rise = L[k] - L[lo]
+    t = np.clip((c - L[lo]) / np.where(rise > 0, rise, 1.0), 0.0, 1.0)
+    first = np.where(L[k] > c, X[lo] + (X[k] - X[lo]) * t, X[k])
+    return first, np.where(L[j] == c, X[j], first)
+
+
+def _merge(inst: PolygonInstance, split: _Split) -> MatchingPath:
+    """The matching of a split: the fans, then the parallel part matched
+    level by level. Each event level is a vertex level of either piece; a
+    plateau at one level is walked on R, then on B."""
+    R, B = inst.R, inst.B
+    n, m = R.n, B.n
+    u, (c1, c2), (x1, x2, y1, y2) = split.u, split.levels, split.params
+    rx, rl = _piece(R.pts @ u, x1, x2, c1, c2)
+    by, bl = _piece(B.pts @ u, y1, y2, c1, c2)
+    events = np.union1d(rl, bl)
+    xf, xl = _params_at(rx, rl, events)
+    yf, yl = _params_at(by, bl, events)
+    # fan at s1 on B, then on R (the first event), the parallel part, and
+    # the fan at s2 on B, then on R
+    xs = np.concatenate(([1.0, 1.0], np.stack([xf, xl, xl], axis=1).ravel(), [x2, n]))
+    ys = np.concatenate(([1.0, y1], np.stack([yf, yf, yl], axis=1).ravel(), [m, m]))
+    xs, ys = np.maximum.accumulate(xs), np.maximum.accumulate(ys)
+    cost = max(split.fan_cost, float(_dists(_points_at(R, xs), _points_at(B, ys)).max()))
+    keep = np.concatenate(([True], (np.diff(xs) > 0) | (np.diff(ys) > 0)))
+    return MatchingPath([ParamPoint(x, y) for x, y in zip(xs[keep].tolist(), ys[keep].tolist())], cost)
+
+
+def parallel_matching_cost(inst: PolygonInstance, pair: TangentPair) -> Optional[MatchingPath]:
+    """Candidate matching for one tangent pair, or None when the level
+    function is not monotone on the middle part (invalid split)."""
+    _check_convex(inst)
+    split = _split(inst, pair, _fan_maxima(inst))
+    return None if split is None else _merge(inst, split)
 
 
 def convex_frechet(inst: PolygonInstance) -> MatchingPath:
@@ -385,13 +347,22 @@ def convex_frechet(inst: PolygonInstance) -> MatchingPath:
     if inst.degenerate:
         wps = [ParamPoint(1.0, 1.0), ParamPoint(float(n), float(m))]
         return MatchingPath(wps, 0.0)
-    best = None
+    fans = _fan_maxima(inst)
+    bounds = []
     for pair in tangent_pairs(inst):
-        pm = parallel_matching_cost(inst, pair)
-        if pm is None:
-            continue
-        if best is None or pm.cost < best.cost:
-            best = pm
+        split = _split(inst, pair, fans)
+        if split is not None:
+            bounds.append((split.bound, pair))
+    bounds.sort(key=lambda bp: bp[0])
+    # a pair costs at least its bound: once the next bound reaches the best
+    # cost, no later pair can do better
+    best = None
+    for bound, pair in bounds:
+        if best is not None and bound >= best.cost:
+            break
+        path = parallel_matching_cost(inst, pair)
+        if best is None or path.cost < best.cost:
+            best = path
     if best is None:
         raise RuntimeError("no valid tangent pair produced a matching")
-    return MatchingPath(best.waypoints, best.cost)
+    return best

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 
 from .geometry import ParamPoint, PolygonInstance
-from .geodesic import get_engine
-from .nnprofile import EmptyFanLeaf, nn_profile, nn_profile_reverse, build_slabs
+from .nnprofile import EmptyFanLeaf, build_slabs, fan_leaf, nn_profile, nn_profile_reverse
 from .nearslab import TransitPoint, advance_near_slab
 from .farslab import far_find_exit
 
@@ -27,24 +26,6 @@ def geodesic_hausdorff(inst: PolygonInstance) -> float:
         b = nn_profile_reverse(inst).max_value()
         inst._cache["hausdorff"] = max(a, b)
     return inst._cache["hausdorff"]
-
-
-def _suffix_max(inst, x0: float, apex) -> float:
-    """max_{x in [x0, n]} d(R(x), apex); piecewise maxima sit at piece ends."""
-    eng = get_engine(inst)
-    R = inst.R
-    if R.n == 1 or x0 >= R.n - 1e-12:
-        return eng.distance(tuple(R.eval(x0)), tuple(apex))
-    out = 0.0
-    i0 = min(max(int(math.floor(x0)), 1), R.n - 1)
-    for i in range(i0, R.n):
-        prof = eng.segment_profile(tuple(apex), R.pts[i - 1], R.pts[i])
-        lo = max(x0 - i, 0.0)
-        out = max(out, prof.eval(lo), prof.eval(1.0))
-        for (t0, t1, _ap, _D) in prof.pieces:
-            if t1 >= lo:
-                out = max(out, prof.eval(max(t0, lo)), prof.eval(t1))
-    return out
 
 
 def decision_chain(inst: PolygonInstance, delta: float, eps: float):
@@ -76,8 +57,9 @@ def decision_chain(inst: PolygonInstance, delta: float, eps: float):
             return False, chain
         cur = nxt
         chain.append(cur.point)
-    tail = _suffix_max(inst, cur.point.x, inst.B.pts[-1])
-    ok = tail <= (1 + eps) * delta * (1 + 1e-9) + 1e-12
+    # the rest of R must stay within (1+eps)*delta of B's end
+    tail = fan_leaf(inst, inst.B.pts[-1], float(inst.R.n), (1 + eps) * delta)
+    ok = tail.leaf[0] <= cur.point.x + 1e-12
     if ok:
         chain.append(ParamPoint(float(inst.R.n), float(inst.B.n)))
     return ok, chain

@@ -9,6 +9,7 @@ answer certifies a valid matching at the inflated threshold.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -254,7 +255,6 @@ def snapped_curves(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
 
 
 def _nearest_index(vals, x):
-    import bisect
     k = bisect.bisect_left(vals, x)
     best = None
     for c in (k - 1, k, k + 1):

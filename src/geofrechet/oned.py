@@ -8,6 +8,7 @@ lexicographically smaller meaning closer to 0.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -166,31 +167,6 @@ def frechet_matching_1d(r: Curve1D, b: Curve1D) -> MatchingPath:
     return MatchingPath(way, max(c1, c2))
 
 
-def eval_path_cost(r: Curve1D, b: Curve1D, path: MatchingPath) -> float:
-    """Max of |r(x)| + |b(y)| along the path; segment maxima are attained at
-    integer parameters because |values| is linear on each edge."""
-    def val(x, arr):
-        if arr.size == 1:
-            return float(arr[0])
-        i = min(int(math.floor(x)), arr.size - 1)
-        t = x - i
-        return float(arr[i - 1] * (1 - t) + arr[i] * t)
-
-    best = 0.0
-    w = path.waypoints
-    for k in range(len(w)):
-        best = max(best, val(w[k].x, r.A) + val(w[k].y, b.A))
-        if k + 1 < len(w):
-            p, q = w[k], w[k + 1]
-            for xi in range(int(math.ceil(p.x)), int(math.floor(q.x)) + 1):
-                t = 0.0 if q.x == p.x else (xi - p.x) / (q.x - p.x)
-                best = max(best, val(float(xi), r.A) + val(p.y + t * (q.y - p.y), b.A))
-            for yj in range(int(math.ceil(p.y)), int(math.floor(q.y)) + 1):
-                t = 0.0 if q.y == p.y else (yj - p.y) / (q.y - p.y)
-                best = max(best, val(p.x + t * (q.x - p.x), r.A) + val(float(yj), b.A))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # support index
 
@@ -286,20 +262,6 @@ class CurveIndex:
                 lo = mid + 1
         return lo
 
-    def last_below_in_range(self, i: int, j: int, U: float) -> Optional[int]:
-        """Last index in [i,j] with A <= U, or None."""
-        self._check(i, j)
-        if self.range_min(i, j) > U:
-            return None
-        lo, hi = i, j
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.range_min(mid, j) <= U:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     def next_smaller(self, i: int) -> Optional[int]:
         """First i2 > i whose key is smaller than key(i), or None."""
         v = self._next_smaller[i - 1]
@@ -374,7 +336,6 @@ class GreedyForest:
     roots: list[tuple[float, float]]
     seeds: list[GridPoint]
     extensions: list[tuple[tuple[float, float], tuple[float, float]]] = field(default_factory=list)
-    has_extensions: bool = False
 
     def edges(self):
         seen = set()
@@ -510,7 +471,7 @@ def build_greedy_forest(r: Curve1D, b: Curve1D, delta: float,
                 extensions.append(((float(i), float(j)), (float(i), y2)))
 
     return GreedyForest(orientation, list(adjacency.keys()), adjacency,
-                        parent, roots, list(seeds), extensions, extend)
+                        parent, roots, list(seeds), extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +540,6 @@ def _collinear_overlaps(a_items, b_items, mark_a, mark_b):
             for _, hi2 in ivs:
                 mx = max(mx, hi2)
                 pref.append(mx)
-            import bisect
             for lo, hi, sid in dst:
                 pos = bisect.bisect_right(starts, hi) - 1
                 if pos >= 0 and pref[pos] >= lo:

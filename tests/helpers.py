@@ -260,6 +260,31 @@ def matching_cost_euclid(inst, waypoints) -> float:
     return out
 
 
+def eval_path_cost(r, b, path) -> float:
+    """Max of |r(x)| + |b(y)| along the path of separated 1D curves r, b; segment maxima are attained at
+    integer parameters because |values| is linear on each edge."""
+    def val(x, arr):
+        if arr.size == 1:
+            return float(arr[0])
+        i = min(int(math.floor(x)), arr.size - 1)
+        t = x - i
+        return float(arr[i - 1] * (1 - t) + arr[i] * t)
+
+    best = 0.0
+    w = path.waypoints
+    for k in range(len(w)):
+        best = max(best, val(w[k].x, r.A) + val(w[k].y, b.A))
+        if k + 1 < len(w):
+            p, q = w[k], w[k + 1]
+            for xi in range(int(math.ceil(p.x)), int(math.floor(q.x)) + 1):
+                t = 0.0 if q.x == p.x else (xi - p.x) / (q.x - p.x)
+                best = max(best, val(float(xi), r.A) + val(p.y + t * (q.y - p.y), b.A))
+            for yj in range(int(math.ceil(p.y)), int(math.floor(q.y)) + 1):
+                t = 0.0 if q.y == p.y else (yj - p.y) / (q.y - p.y)
+                best = max(best, val(p.x + t * (q.x - p.x), r.A) + val(float(yj), b.A))
+    return best
+
+
 def sub_instance(inst, Rhat, Bhat):
     """Wrapper exposing subcurves to the free-space oracle while sharing
     the parent polygon's engine."""

@@ -13,14 +13,13 @@ from geofrechet.farslab import build_separator_anchors
 from geofrechet.generators import (gen_comb_1d, gen_convex, gen_random_1d)
 from geofrechet.nnprofile import EmptyFanLeaf, build_slabs, nn_profile
 from geofrechet.oned import (GridPoint, build_curve_index, build_greedy_forest,
-                             eval_path_cost, frechet_matching_1d,
-                             propagate_reachability)
+                             frechet_matching_1d, propagate_reachability)
 from geofrechet.oracle import (frechet_bisect, freespace_decide,
                                reachable_points_bruteforce)
 
 from helpers import (check_lower_envelope, check_matching_to_fan,
                      check_monotone_leaves, check_shortcutting, check_snapping,
-                     random_instance, sub_instance)
+                     eval_path_cost, random_instance, sub_instance)
 
 
 def emit(capsys, ok: bool, num: int, msg: str):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geofrechet import convex
 from geofrechet.convex import _points_at, convex_frechet, parallel_matching_cost, tangent_pairs
 from geofrechet.generators import gen_convex
 from geofrechet.geometry import build_instance
@@ -165,3 +166,61 @@ def test_points_at_matches_eval():
     for curve in (gen_convex(20, 3).R, gen_convex(9, 4).B):
         xs = [1.0, 2.0, float(curve.n)] + [rng.uniform(1, curve.n) for _ in range(50)]
         assert _points_at(curve, xs).tolist() == [list(curve.eval(x)) for x in xs]
+
+
+# -- the pair bound that lets the solver skip pairs --------------------------
+
+def regular_even_polygon(n, k):
+    pts = [(math.cos(0.3 * k + 2 * math.pi * i / n), math.sin(0.3 * k + 2 * math.pi * i / n))
+           for i in range(n)]
+    return build_instance(*split_cycle(pts, k))
+
+
+regular_instances = st.integers(min_value=2, max_value=50).flatmap(
+    lambda h: st.builds(regular_even_polygon, st.just(2 * h),
+                        st.integers(min_value=1, max_value=2 * h - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(convex_instances, regular_instances))
+def test_pair_bound_is_pair_cost(inst):
+    """bound <= cost makes skipping the pairs whose bound reaches the best
+    cost exact; cost <= bound is the affine-diameter identity: the parallel
+    part costs exactly d*."""
+    fans = convex._fan_maxima(inst)
+    valid = 0
+    for pair in tangent_pairs(inst):
+        split = convex._split(inst, pair, fans)
+        if split is None:
+            continue
+        valid += 1
+        cost = convex._merge(inst, split).cost
+        assert split.bound <= cost * (1 + 1e-12)
+        assert cost <= split.bound * (1 + 1e-12)
+    assert valid
+
+
+def ellipse_instance(seed, n):
+    """The convex benchmark workload's ellipse: n points at jittered even
+    angles, split at a random vertex."""
+    rng = random.Random(seed)
+    a, b = rng.uniform(1.0, 2.0), rng.uniform(0.5, 1.0)
+    pts = [(a * math.cos(t), b * math.sin(t)) for t in
+           (2 * math.pi * (i + rng.uniform(0.1, 0.9)) / n for i in range(n))]
+    return build_instance(*split_cycle(pts, rng.randint(n // 4, 3 * n // 4)))
+
+
+@pytest.mark.parametrize("n,r", [(80, 0), (80, 1), (160, 0), (160, 1), (320, 0), (320, 1)])
+def test_one_full_matching_on_ellipses(monkeypatch, n, r):
+    """Only the pair with the lowest bound gets its full matching built."""
+    merges = []
+    merge = convex._merge
+
+    def counted(inst, split):
+        merges.append(split)
+        return merge(inst, split)
+
+    monkeypatch.setattr(convex, "_merge", counted)
+    inst = ellipse_instance(1000 * n + r, n)
+    assert convex_frechet(inst).cost > 0
+    assert len(merges) == 1

@@ -7,10 +7,12 @@ import pytest
 from geofrechet.generators import gen_random_1d
 from geofrechet.oned import (Curve1D, GridPoint, bichromatic_intersections,
                              build_curve_index, build_greedy_forest,
-                             closest_pair_1d, eval_path_cost,
-                             frechet_matching_1d, greedy_step, prefix_minima,
+                             closest_pair_1d, frechet_matching_1d,
+                             greedy_step, prefix_minima,
                              propagate_reachability, suffix_minima)
 from geofrechet.oracle import frechet_bisect, reachable_points_bruteforce
+
+from helpers import eval_path_cost
 
 
 def test_side_validation():
