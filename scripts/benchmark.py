@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Measure comb-family 1D scaling and convex-solver scaling, and publish
-docs/benchmark.md."""
+"""Measure comb-family 1D scaling, far-slab propagation on the sweep
+instances and convex-solver scaling, and publish docs/benchmark.md."""
 import math
 import os
 import platform
 import random
+import statistics
 import time
 
+from geofrechet import farslab, generators
 from geofrechet.convex import convex_frechet
+from geofrechet.driver import approx_optimize
 from geofrechet.generators import gen_comb_1d
 from geofrechet.geometry import build_instance
 from geofrechet.oned import frechet_matching_1d, propagate_reachability
 
 SIZES = [1000, 10000, 100000]
+SWEEP = 40
 CONVEX_SIZES = [200, 400, 800, 1600, 3200]
 REPS = 3
 
@@ -29,6 +33,53 @@ def bench(n):
         tm = min(tm, t1 - t0)
         tp = min(tp, t2 - t1)
     return tm, tp
+
+
+def sweep_instance(seed):
+    """Instance `seed` of the acceptance sweep (criterion 5): pockets,
+    simple polygons with 0-2 spikes and convex polygons, n+m <= 30."""
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    n = rng.randint(8, 15)
+    if kind == 0:
+        return generators.gen_pocket(seed, n)
+    if kind == 1:
+        return generators.gen_simple(seed, n, spikes=rng.randint(0, 2))
+    return generators.gen_convex(min(n, 14), seed)
+
+
+def bench_sweep():
+    """approx_optimize over the first sweep instances with the sweep's eps
+    cycle: (total s, s inside propagate_reachability, propagation calls,
+    median n, median m of the snapped curves), times best of REPS."""
+    inner = farslab.propagate_reachability
+    sizes = []
+    spent = [0.0]
+
+    def timed(r, b, delta, S, E):
+        sizes.append((r.n, b.n))
+        t0 = time.perf_counter()
+        out = inner(r, b, delta, S, E)
+        spent[0] += time.perf_counter() - t0
+        return out
+
+    farslab.propagate_reachability = timed
+    best_total = best_prop = math.inf
+    try:
+        for _ in range(REPS):
+            sizes.clear()
+            spent[0] = total = 0.0
+            for s in range(SWEEP):
+                inst = sweep_instance(s)
+                t0 = time.perf_counter()
+                approx_optimize(inst, (0.5, 0.1, 0.05)[s % 3])
+                total += time.perf_counter() - t0
+            best_total = min(best_total, total)
+            best_prop = min(best_prop, spent[0])
+    finally:
+        farslab.propagate_reachability = inner
+    return (best_total, best_prop, len(sizes), statistics.median(n for n, _ in sizes),
+            statistics.median(m for _, m in sizes))
 
 
 def ellipse(seed, n):
@@ -64,6 +115,7 @@ def main():
     rows = [(n, *bench(n)) for n in SIZES]
     s_m = slope(SIZES, [r[1] for r in rows])
     s_p = slope(SIZES, [r[2] for r in rows])
+    sweep_s, prop_s, calls, med_n, med_m = bench_sweep()
     crows = [(n, *bench_convex(n)) for n in CONVEX_SIZES]
     s_b = slope(CONVEX_SIZES, [r[1] for r in crows])
     s_s = slope(CONVEX_SIZES, [r[2] for r in crows])
@@ -82,6 +134,18 @@ def main():
             fh.write(f"| {n} | {tm:.4f} | {tp:.4f} |\n")
         fh.write(f"\nLog-log slope over the full range: matching {s_m:.3f}, "
                  f"propagation {s_p:.3f}.\n\n")
+        fh.write("## Far slabs on the sweep\n\n")
+        fh.write("`approx_optimize` on sweep instances 0-%d (criterion 5's\n"
+                 "generators, n+m <= 30) with eps cycling 0.5, 0.1, 0.05; each\n"
+                 "instance is built fresh, and times are the best of %d runs.\n"
+                 "The propagation time is spent inside\n"
+                 "`propagate_reachability`, called once per anchor interval\n"
+                 "of every far-slab decision.\n\n" % (SWEEP - 1, REPS))
+        fh.write("| approx_optimize total (s) | propagate_reachability (s) "
+                 "| calls | median snapped size n × m |\n")
+        fh.write("|---:|---:|---:|---:|\n")
+        fh.write(f"| {sweep_s:.3f} | {prop_s:.3f} | {calls} "
+                 f"| {med_n:g} × {med_m:g} |\n\n")
         fh.write("## Convex polygons\n\n")
         fh.write("Wall time (best of %d runs) of `build_instance` and of\n"
                  "`convex_frechet` on a fresh instance, for an ellipse with N\n"
@@ -97,6 +161,7 @@ def main():
         fh.write(f"Environment: Python {platform.python_version()}, "
                  f"{platform.system()} {platform.machine()}, single process.\n")
     print(f"wrote {os.path.normpath(out)} (comb slopes {s_m:.3f} / {s_p:.3f}, "
+          f"sweep {sweep_s:.3f} s with {prop_s:.3f} s propagating, "
           f"convex solve slope {s_s:.3f})")
 
 

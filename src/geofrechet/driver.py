@@ -100,6 +100,4 @@ def approx_optimize(inst: PolygonInstance, eps: float) -> float:
             hi = mid
         else:
             lo = mid
-    out = (1 + ep) * d_h * (1 + ep) ** hi
-    out = max(out, d_h)
-    return min(out, 3 * d_h * (1 + eps))
+    return min((1 + ep) * d_h * (1 + ep) ** hi, 3 * d_h * (1 + eps))

@@ -9,7 +9,6 @@ answer certifies a valid matching at the inflated threshold.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -197,15 +196,22 @@ def build_gate_sets(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
     return out
 
 
-def _snap_params(inst, curve: PolyCurve, anchor):
-    """Parameters at which the snapped distance is sampled: vertices,
-    profile piece boundaries, per-piece minima and piece midpoints."""
-    if curve.n == 1:
-        return [1.0]
+def _snap_samples(inst, curve: PolyCurve, anchor, extra=()):
+    """Parameters at which the snapped distance d(curve(x), anchor) is
+    sampled, ascending, and the distances there. The samples are the
+    vertices, profile piece boundaries, per-piece minima and piece
+    midpoints, kept more than 1e-9 apart, plus every parameter of `extra`
+    exactly. The value at x comes from the profile of edge
+    i = min(max(floor(x), 1), n - 1), evaluated at x - i."""
     eng = get_engine(inst)
+    extra = {float(x) for x in extra}
+    if curve.n == 1:
+        xs = sorted({1.0} | extra)
+        return xs, [eng.distance(tuple(curve.pts[0]), tuple(anchor))] * len(xs)
+    profs = [eng.segment_profile(tuple(anchor), curve.pts[i - 1], curve.pts[i])
+             for i in range(1, curve.n)]
     ps = []
-    for i in range(1, curve.n):
-        prof = eng.segment_profile(tuple(anchor), curve.pts[i - 1], curve.pts[i])
+    for i, prof in enumerate(profs, 1):
         ps.append(float(i))
         for (t0, t1, apex, _D) in prof.pieces:
             dx = curve.pts[i][0] - curve.pts[i - 1][0]
@@ -225,25 +231,21 @@ def _snap_params(inst, curve: PolyCurve, anchor):
     for x in ps[1:]:
         if x > out[-1] + 1e-9:
             out.append(x)
-    return out
-
-
-def _snap_value(inst, curve: PolyCurve, anchor, x: float) -> float:
-    eng = get_engine(inst)
-    if curve.n == 1:
-        return eng.distance(tuple(curve.pts[0]), tuple(anchor))
-    i = min(max(int(math.floor(x)), 1), curve.n - 1)
-    prof = eng.segment_profile(tuple(anchor), curve.pts[i - 1], curve.pts[i])
-    return prof.eval(x - i)
+    xs = sorted(set(out) | extra)
+    vals = []
+    for x in xs:
+        i = min(max(int(math.floor(x)), 1), curve.n - 1)
+        vals.append(profs[i - 1].eval(x - i))
+    return xs, vals
 
 
 def _snapped_with_params(inst, Rhat: PolyCurve, Bhat: PolyCurve, anchor,
                          extra_x=(), extra_y=()):
-    xs = sorted(set(_snap_params(inst, Rhat, anchor)) | {float(x) for x in extra_x})
-    ys = sorted(set(_snap_params(inst, Bhat, anchor)) | {float(y) for y in extra_y})
-    rv = [-max(_snap_value(inst, Rhat, anchor, x), _EPS_CLAMP) for x in xs]
-    bv = [max(_snap_value(inst, Bhat, anchor, y), _EPS_CLAMP) for y in ys]
-    return Curve1D(rv, "left"), Curve1D(bv, "right"), xs, ys
+    xs, rd = _snap_samples(inst, Rhat, anchor, extra_x)
+    ys, bd = _snap_samples(inst, Bhat, anchor, extra_y)
+    r = Curve1D([-max(d, _EPS_CLAMP) for d in rd], "left")
+    b = Curve1D([max(d, _EPS_CLAMP) for d in bd], "right")
+    return r, b, xs, ys
 
 
 def snapped_curves(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
@@ -254,39 +256,23 @@ def snapped_curves(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
     return r, b
 
 
-def _nearest_index(vals, x):
-    k = bisect.bisect_left(vals, x)
-    best = None
-    for c in (k - 1, k, k + 1):
-        if 0 <= c < len(vals):
-            d = abs(vals[c] - x)
-            if best is None or d < best[1]:
-                best = (c, d)
-    return best[0]
-
-
 def _propagate_space(inst, Rhat, Bhat, anchor, sources, targets, thr):
     """Points of `targets` reachable from `sources` inside the snapped
-    free space of the anchor at threshold thr."""
+    free space of the anchor at threshold thr. Both sets are sampled
+    exactly, so their grid indices are looked up, not searched for."""
     r, b, xs, ys = _snapped_with_params(
         inst, Rhat, Bhat, anchor,
         extra_x=[p[0] for p in sources] + [p[0] for p in targets],
         extra_y=[p[1] for p in sources] + [p[1] for p in targets])
     dl = thr * (1 + 1e-9) + 1e-12
+    ix = {x: i for i, x in enumerate(xs, 1)}
+    iy = {y: j for j, y in enumerate(ys, 1)}
 
-    def grid(p):
-        return GridPoint(_nearest_index(xs, p[0]) + 1, _nearest_index(ys, p[1]) + 1)
+    def free(pts):
+        gs = [GridPoint(ix[p[0]], iy[p[1]]) for p in pts]
+        return [g for g in gs if r.a(g.i) + b.a(g.j) <= dl]
 
-    S = []
-    for p in sources:
-        g = grid(p)
-        if r.a(g.i) + b.a(g.j) <= dl:
-            S.append(g)
-    E = []
-    for p in targets:
-        g = grid(p)
-        if r.a(g.i) + b.a(g.j) <= dl:
-            E.append(g)
+    S, E = free(sources), free(targets)
     if not S or not E:
         return []
     reach = propagate_reachability(r, b, dl, S, E)

@@ -93,16 +93,17 @@ class NNProfile:
                 if y >= y1:
                     return x1
                 lo, hi = x0, x1
-                for _ in range(80):
+                while True:
                     mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:
+                        return mid  # no float left between lo and hi
                     ym, _v = self.nn_at(mid)
                     if ym < y:
                         lo = mid
                     else:
                         hi = mid
                     if hi - lo < _BP_TOL:
-                        break
-                return 0.5 * (lo + hi)
+                        return 0.5 * (lo + hi)
         raise ValueError(f"target parameter {y} is not a near point")
 
 

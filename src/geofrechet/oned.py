@@ -1,5 +1,6 @@
 """Separated one-dimensional curves: prefix minima, linear-time matching,
-greedy forests, support indices, bichromatic sweep, reachability propagation.
+greedy forests, support indices, one-sided segment contact marking,
+reachability propagation.
 
 A Curve1D lives strictly on one side of 0; the distance between a left
 point r and a right point b is |r| + |b|. Exact value ties are broken by a
@@ -9,6 +10,7 @@ lexicographically smaller meaning closer to 0.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -296,6 +298,17 @@ def _hstep(r: Curve1D, b: Curve1D, ri: CurveIndex, bi: CurveIndex,
     return None
 
 
+def _step(r: Curve1D, b: Curve1D, ri: CurveIndex, bi: CurveIndex,
+          i: int, j: int, delta: float, orientation: str):
+    """greedy_step on a free vertex pair (i, j) without the input checks."""
+    if orientation == "horizontal":
+        return _hstep(r, b, ri, bi, i, j, delta)
+    if orientation == "vertical":
+        q = _hstep(b, r, bi, ri, j, i, delta)
+        return None if q is None else (q[1], q[0])
+    raise ValueError("orientation must be horizontal or vertical")
+
+
 def greedy_step(r: Curve1D, b: Curve1D, p: GridPoint, delta: float,
                 orientation: str = "horizontal",
                 rindex: Optional[CurveIndex] = None,
@@ -310,15 +323,9 @@ def greedy_step(r: Curve1D, b: Curve1D, p: GridPoint, delta: float,
         raise ValueError("grid point out of range")
     if r.a(i) + b.a(j) > delta:
         raise ValueError(f"point ({i},{j}) outside free space")
-    ri = rindex or build_curve_index(r)
-    bi = bindex or build_curve_index(b)
-    if orientation == "horizontal":
-        q = _hstep(r, b, ri, bi, i, j, delta)
-        return None if q is None else GridPoint(*q)
-    elif orientation == "vertical":
-        q = _hstep(b, r, bi, ri, j, i, delta)
-        return None if q is None else GridPoint(q[1], q[0])
-    raise ValueError("orientation must be horizontal or vertical")
+    q = _step(r, b, rindex or build_curve_index(r), bindex or build_curve_index(b),
+              i, j, delta, orientation)
+    return None if q is None else GridPoint(*q)
 
 
 @dataclass
@@ -330,11 +337,9 @@ class GreedyForest:
     vertex to the next vertex toward its root (roots map to None).
     """
     orientation: str
-    vertices: list[tuple[float, float]]
     adjacency: dict
     parent: dict
     roots: list[tuple[float, float]]
-    seeds: list[GridPoint]
     extensions: list[tuple[tuple[float, float], tuple[float, float]]] = field(default_factory=list)
 
     def edges(self):
@@ -382,6 +387,8 @@ def build_greedy_forest(r: Curve1D, b: Curve1D, delta: float,
     ri = rindex or build_curve_index(r)
     bi = bindex or build_curve_index(b)
     for s in seeds:
+        if not (1 <= s.i <= r.n and 1 <= s.j <= b.n):
+            raise ValueError(f"seed {tuple(s)} out of range")
         if r.a(s.i) + b.a(s.j) > delta:
             raise ValueError(f"seed {tuple(s)} outside free space")
     adjacency: dict = {}
@@ -405,13 +412,12 @@ def build_greedy_forest(r: Curve1D, b: Curve1D, delta: float,
             continue
         add_vertex(p)
         while True:
-            q_gp = greedy_step(r, b, GridPoint(int(p[0]), int(p[1])), delta,
-                               orientation, ri, bi)
-            if q_gp is None:
+            q = _step(r, b, ri, bi, int(p[0]), int(p[1]), delta, orientation)
+            if q is None:
                 parent.setdefault(p, None)
                 roots.append(p)
                 break
-            q = (float(q_gp.i), float(q_gp.j))
+            q = (float(q[0]), float(q[1]))
             if q in adjacency:
                 # merge: existing vertices on segment (p, q] lie on one chain
                 # toward q; walk down to the one nearest p
@@ -470,118 +476,83 @@ def build_greedy_forest(r: Curve1D, b: Curve1D, delta: float,
                         y2 = j1 + (U - a0) / (a1 - a0)
                 extensions.append(((float(i), float(j)), (float(i), y2)))
 
-    return GreedyForest(orientation, list(adjacency.keys()), adjacency,
-                        parent, roots, list(seeds), extensions)
+    return GreedyForest(orientation, adjacency, parent, roots, extensions)
 
 
 # ---------------------------------------------------------------------------
-# bichromatic segment intersection sweep
+# one-sided contact marking of axis-aligned segments
 
-def _norm_seg(seg):
-    (x1, y1), (x2, y2) = seg
-    if x1 == x2 and y1 == y2:
-        return ("P", x1, y1)
-    if y1 == y2:
-        return ("H", y1, min(x1, x2), max(x1, x2))
-    if x1 == x2:
-        return ("V", x1, min(y1, y2), max(y1, y2))
-    raise ValueError("segments must be axis-aligned")
-
-
-def _sweep_hv(h_items, v_items, mark_h, mark_v):
-    """Closed-intersection sweep: horizontal queries against vertical
-    segments. h_items: (y, x1, x2, id); v_items: (x, y1, y2, id).
-    Marks every intersecting pair member once."""
-    events = {}
-    for x, y1, y2, vid in v_items:
-        events.setdefault(y1, [[], [], []])[0].append((x, y1, y2, vid))
-        events.setdefault(y2, [[], [], []])[2].append((x, y1, y2, vid))
-    for y, x1, x2, hid in h_items:
-        events.setdefault(y, [[], [], []])[1].append((y, x1, x2, hid))
-    active_all = SortedList(key=lambda t: (t[0], t[3]))
-    active_unmarked = SortedList(key=lambda t: (t[0], t[3]))
-    for y in sorted(events):
-        ins, qry, rem = events[y]
-        for item in ins:
-            active_all.add(item)
-            active_unmarked.add(item)
-        for (_, x1, x2, hid) in qry:
-            pos = active_all.bisect_key_left((x1, -1))
-            if pos < len(active_all) and active_all[pos][0] <= x2:
-                mark_h.add(hid)
-            lo = active_unmarked.bisect_key_left((x1, -1))
-            hi = active_unmarked.bisect_key_right((x2, float("inf")))
-            hit = list(active_unmarked[lo:hi])
-            for item in hit:
-                mark_v.add(item[3])
-                active_unmarked.remove(item)
-        for item in rem:
-            active_all.remove(item)
-            if item in active_unmarked:
-                active_unmarked.remove(item)
+def _split_hv(segs):
+    """Horizontal items (y, x1, x2, index) and vertical items
+    (x, y1, y2, index) of axis-aligned segments; a point is both."""
+    hs, vs = [], []
+    for idx, ((x1, y1), (x2, y2)) in enumerate(segs):
+        if y1 == y2:
+            hs.append((y1, min(x1, x2), max(x1, x2), idx))
+        if x1 == x2:
+            vs.append((x1, min(y1, y2), max(y1, y2), idx))
+        elif y1 != y2:
+            raise ValueError("segments must be axis-aligned")
+    return hs, vs
 
 
-def _collinear_overlaps(a_items, b_items, mark_a, mark_b):
-    """Overlap marking for parallel segments grouped on the same line.
-    Items: (line coord, lo, hi, id)."""
-    groups: dict = {}
-    for c, lo, hi, sid in a_items:
-        groups.setdefault(c, ([], []))[0].append((lo, hi, sid))
-    for c, lo, hi, sid in b_items:
-        groups.setdefault(c, ([], []))[1].append((lo, hi, sid))
-    for c, (aa, bb) in groups.items():
-        if not aa or not bb:
-            continue
-        for src, dst, msrc in ((aa, bb, mark_b), (bb, aa, mark_a)):
-            ivs = sorted((lo, hi) for lo, hi, _ in src)
-            starts = [iv[0] for iv in ivs]
-            pref = []
-            mx = -math.inf
-            for _, hi2 in ivs:
-                mx = max(mx, hi2)
-                pref.append(mx)
-            for lo, hi, sid in dst:
-                pos = bisect.bisect_right(starts, hi) - 1
-                if pos >= 0 and pref[pos] >= lo:
-                    msrc.add(sid)
+def _crossing_hits(queries, items):
+    """Indices of queries (c, lo, hi, index) met by a perpendicular item
+    (c', lo', hi', _) with lo <= c' <= hi and lo' <= c <= hi'. The sweep
+    runs along c; at equal keys inserts come before queries and queries
+    before removals, so contact counts."""
+    events = [(c, 1, lo, hi, idx) for c, lo, hi, idx in queries]
+    for c, lo, hi, _ in items:
+        events.append((lo, 0, c))
+        events.append((hi, 2, c))
+    events.sort(key=lambda e: (e[0], e[1]))
+    active = SortedList()
+    hit = set()
+    for e in events:
+        if e[1] == 0:
+            active.add(e[2])
+        elif e[1] == 2:
+            active.remove(e[2])
+        else:
+            k = active.bisect_left(e[2])
+            if k < len(active) and active[k] <= e[3]:
+                hit.add(e[4])
+    return hit
 
 
-def _bichromatic_mark(red, blue):
-    """Index sets of red and blue segments intersecting the other color.
-    Closed semantics: shared endpoints and collinear overlap count."""
-    rH, rV, bH, bV = [], [], [], []
-    for idx, seg in enumerate(red):
-        t = _norm_seg(seg)
-        if t[0] in ("H", "P"):
-            y, x1, x2 = (t[2], t[1], t[1]) if t[0] == "P" else (t[1], t[2], t[3])
-            rH.append((y, x1, x2, idx))
-        if t[0] in ("V", "P"):
-            x, y1, y2 = (t[1], t[2], t[2]) if t[0] == "P" else (t[1], t[2], t[3])
-            rV.append((x, y1, y2, idx))
-    for idx, seg in enumerate(blue):
-        t = _norm_seg(seg)
-        if t[0] in ("H", "P"):
-            y, x1, x2 = (t[2], t[1], t[1]) if t[0] == "P" else (t[1], t[2], t[3])
-            bH.append((y, x1, x2, idx))
-        if t[0] in ("V", "P"):
-            x, y1, y2 = (t[1], t[2], t[2]) if t[0] == "P" else (t[1], t[2], t[3])
-            bV.append((x, y1, y2, idx))
-    mark_r: set = set()
-    mark_b: set = set()
-    _sweep_hv(rH, bV, mark_r, mark_b)
-    _sweep_hv(bH, rV, mark_b, mark_r)
-    _collinear_overlaps(rH, bH, mark_r, mark_b)
-    _collinear_overlaps([(x, y1, y2, i) for x, y1, y2, i in rV],
-                        [(x, y1, y2, i) for x, y1, y2, i in bV],
-                        mark_r, mark_b)
-    return mark_r, mark_b
+def _overlap_hits(segs, by):
+    """Indices of items of segs overlapping an item of by on the same line:
+    a prefix maximum of the interval ends of by, per line."""
+    lines: dict = {}
+    for c, lo, hi, _ in by:
+        lines.setdefault(c, []).append((lo, hi))
+    for c, ivs in lines.items():
+        ivs.sort()
+        lines[c] = ([lo for lo, _ in ivs],
+                    list(itertools.accumulate((hi for _, hi in ivs), max)))
+    hit = set()
+    for c, lo, hi, idx in segs:
+        if c in lines:
+            starts, reach = lines[c]
+            k = bisect.bisect_right(starts, hi) - 1
+            if k >= 0 and reach[k] >= lo:
+                hit.add(idx)
+    return hit
+
+
+def _touched(segs, by) -> set:
+    """Indices of the segments in segs that touch a segment of by (closed:
+    shared endpoints and collinear overlap count)."""
+    sh, sv = _split_hv(segs)
+    bh, bv = _split_hv(by)
+    return (_crossing_hits(sh, bv) | _crossing_hits(sv, bh) |
+            _overlap_hits(sh, bh) | _overlap_hits(sv, bv))
 
 
 def bichromatic_intersections(red, blue):
     """Report the red and blue axis-aligned segments that intersect a
     segment of the other color (closed semantics). Returns two index lists."""
-    mark_r, mark_b = _bichromatic_mark(red, blue)
-    return sorted(mark_r), sorted(mark_b)
+    return sorted(_touched(red, blue)), sorted(_touched(blue, red))
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +575,9 @@ def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
     """All points of E that are delta-reachable from some point of S.
 
     Builds the extended horizontal- and vertical-greedy forests of S and the
-    reversed forests of E, intersects their edge sets, and marks the reverse
-    subtrees hanging off every intersected edge.
+    reversed forests of E, marks the edges of the E forests that touch an
+    edge of the S forests (one-sided: the S edges are never marked), and
+    reports the E points whose reverse paths run through a marked edge.
     """
     S = [GridPoint(*p) for p in S]
     E = [GridPoint(*p) for p in E]
@@ -640,11 +612,9 @@ def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
             child = u if f.parent.get(u) == v else v
             blue.append(_map_back((u, v), n, m))
             blue_mu.append((f, child))
-        for k, ext in enumerate(f.extensions):
+        for ext in f.extensions:
             blue.append(_map_back(ext, n, m))
             blue_mu.append((f, ext[0]))  # extension belongs to its root
-
-    _, mark_b = _bichromatic_mark(red, blue)
 
     # collect, per forest vertex, the E seeds whose path runs through it
     seeds_of: dict = {}
@@ -657,7 +627,7 @@ def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
                 v = f.parent.get(v)
         seeds_of[id(f)] = at
 
-    for idx in mark_b:
+    for idx in _touched(blue, red):
         f, mu = blue_mu[idx]
         for v in seeds_of[id(f)].get(mu, ()):
             out.add(GridPoint(int(round(n + 1 - v[0])), int(round(m + 1 - v[1]))))

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from geofrechet.farslab import (_HitParams, build_gate_sets,
+from geofrechet.farslab import (_HitParams, _snap_samples, build_gate_sets,
                                 build_separator_anchors, far_decide,
                                 far_find_exit, snapped_curves)
 from geofrechet.generators import gen_pocket, gen_simple
-from geofrechet.geodesic import _ray_hit, get_engine, shortest_path
+from geofrechet.geodesic import DIST_TOL, _ray_hit, get_engine, shortest_path
 from geofrechet.geometry import ParamPoint, build_instance
 from geofrechet.nearslab import TransitPoint, transit_exits_on_interval
 from geofrechet.nnprofile import build_slabs, nn_profile
@@ -113,6 +113,40 @@ def test_snapped_extrema_match_sampling():
                for k in range(601)]
     assert max(-v for v in r.values) == pytest.approx(max(samples), abs=1e-6)
     assert min(-v for v in r.values) <= min(samples) + 1e-6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_snapped_values_are_anchor_distances(seed):
+    """Every extra parameter comes back exactly, and every sampled value is
+    the geodesic distance from the curve point to the anchor, on whole and
+    partial curves with anchors on the separator."""
+    rng = random.Random(seed)
+    for inst in (gen_pocket(seed), gen_simple(seed, spikes=1)):
+        eng = get_engine(inst)
+        n, m = inst.R.n, inst.B.n
+        x0, x1 = sorted(rng.uniform(1, n) for _ in range(2))
+        y0, y1 = sorted(rng.uniform(1, m) for _ in range(2))
+        for Rhat, Bhat in ((inst.R, inst.B),
+                           (inst.R.subcurve(x0, x1), inst.B.subcurve(y0, y1))):
+            b1, b2 = tuple(Bhat.pts[0]), tuple(Bhat.pts[-1])
+            d = max(eng.distance(b1, b2), 1e-3)
+            A = build_separator_anchors(inst, b1, b2, d, 0.25)
+            assert A is not None
+            for anchor in A.anchors:
+                for curve in (Rhat, Bhat):
+                    xs0, _ = _snap_samples(inst, curve, anchor)
+                    s = xs0[rng.randrange(len(xs0))]
+                    near = s + 1e-10 if s + 1e-10 <= curve.n else s - 1e-10
+                    extra = ([rng.uniform(1, curve.n) for _ in range(3)] +
+                             [float(i) for i in range(1, curve.n + 1)] + [near])
+                    xs, vals = _snap_samples(inst, curve, anchor, extra)
+                    assert xs == sorted(xs) and len(vals) == len(xs)
+                    assert set(extra) <= set(xs)
+                    for x, v in zip(xs, vals):
+                        # abs: the engine's distance slack DIST_TOL; a point
+                        # 1e-10 past a reflex vertex may be routed straight
+                        want = eng.distance(tuple(curve.eval(x)), tuple(anchor))
+                        assert v == pytest.approx(want, rel=1e-9, abs=DIST_TOL)
 
 
 def far_instances():

@@ -256,3 +256,14 @@ def test_nn_profile_prunes_edge_queries(monkeypatch):
             nn_point_reference(inst, source, target, x))
     full = _count_profile_calls(monkeypatch, gen_simple(0, 48, spikes=1))
     assert pruned < full / 4
+
+
+def test_x_for_target_stops_where_floats_run_out():
+    """Near x = 2**21 adjacent floats lie 4.7e-10 apart, wider than the
+    1e-10 bisection width; the search returns there instead of looping."""
+    x0 = 2.0 ** 21
+    prof = nnprofile.NNProfile([], [(x0, x0 + 1.0, 0.0, 1.0)], 0.0,
+                               None, None, None, [])
+    prof.nn_at = lambda x: (x - x0, 0.0)
+    x = prof.x_for_target(0.3)
+    assert abs(x - (x0 + 0.3)) <= 1e-9

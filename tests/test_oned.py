@@ -169,6 +169,14 @@ def test_forest_paths_replay_greedy():
             assert (float(p.i), float(p.j)) in [tuple(v) for v in path]
 
 
+def test_forest_rejects_seeds_out_of_range():
+    r = Curve1D([-3, -2, -1])
+    b = Curve1D([1, 2, 3])
+    for s in (GridPoint(0, 1), GridPoint(4, 1), GridPoint(1, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            build_greedy_forest(r, b, 99.0, [s])
+
+
 def test_forest_merge_shares_structure():
     r = Curve1D([-3, -2, -1])
     b = Curve1D([1, 2, 3])
@@ -184,6 +192,22 @@ def test_bichromatic_examples():
     assert mr == [0] and mb == [0]
     mr, mb = bichromatic_intersections(red, [((5.0, 5.0), (5.0, 6.0))])
     assert mr == [] and mb == []
+    # a point on a segment end, horizontal and vertical
+    for seg in (((0.0, 0.0), (2.0, 0.0)), ((2.0, 3.0), (2.0, 0.0))):
+        assert bichromatic_intersections([((2.0, 0.0), (2.0, 0.0))], [seg]) == ([0], [0])
+    # a point on a point, and a point next to it
+    pts = [((1.0, 1.0), (1.0, 1.0)), ((1.0, 2.0), (1.0, 2.0))]
+    assert bichromatic_intersections(pts[:1], pts) == ([0], [0])
+    # collinear segments touching end to end, and with a gap
+    for a, b in ((((0.0, 0.0), (1.0, 0.0)), ((3.0, 0.0), (1.0, 0.0))),
+                 (((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 2.0)))):
+        assert bichromatic_intersections([a], [b]) == ([0], [0])
+    assert bichromatic_intersections([((0.0, 0.0), (1.0, 0.0))],
+                                     [((1.5, 0.0), (3.0, 0.0))]) == ([], [])
+    # identical duplicates, within one colour and across the two
+    s = ((0.0, 0.0), (0.0, 2.0))
+    assert bichromatic_intersections([s, s], [s]) == ([0, 1], [0])
+    assert bichromatic_intersections([s, s], [((1.0, 0.0), (1.0, 2.0))] * 2) == ([], [])
 
 
 def test_bichromatic_vs_quadratic():
