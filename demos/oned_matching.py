@@ -8,10 +8,9 @@ with suffix minima. Greedy forests extend the same idea to many seeds,
 and reachability propagation answers which exits a set of entries can
 reach under a threshold.
 """
-from geofrechet.oned import (Curve1D, GridPoint, build_curve_index,
-                             build_greedy_forest, closest_pair_1d,
-                             frechet_matching_1d, prefix_minima,
-                             propagate_reachability)
+from geofrechet.oned import (Curve1D, GridPoint, build_greedy_forest,
+                             closest_pair_1d, frechet_matching_1d,
+                             prefix_minima, propagate_reachability)
 
 
 def main():
@@ -33,8 +32,7 @@ def main():
 
     delta = match.cost + 1.0
     seeds = [GridPoint(1, 1), GridPoint(2, 2)]
-    ri, bi = build_curve_index(r), build_curve_index(b)
-    forest = build_greedy_forest(r, b, delta, seeds, "horizontal", True, ri, bi)
+    forest = build_greedy_forest(r, b, delta, seeds, "horizontal")
     print(f"\ngreedy forest at delta = {delta:.1f}: "
           f"{len(forest.roots)} root(s)")
     for s in seeds:

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Measure comb-family 1D scaling, far-slab propagation on the sweep
-instances and convex-solver scaling, and publish docs/benchmark.md."""
+instances and convex-solver scaling, count the library's lines, and
+publish docs/benchmark.md."""
 import math
 import os
 import platform
@@ -107,6 +108,17 @@ def bench_convex(n):
     return tb, ts
 
 
+def library_lines():
+    """(module, line count) for each module of the library, by name."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "geofrechet")
+    out = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                out.append((name, sum(1 for _ in fh)))
+    return out
+
+
 def slope(sizes, times):
     return math.log(times[-1] / times[0]) / math.log(sizes[-1] / sizes[0])
 
@@ -119,6 +131,7 @@ def main():
     crows = [(n, *bench_convex(n)) for n in CONVEX_SIZES]
     s_b = slope(CONVEX_SIZES, [r[1] for r in crows])
     s_s = slope(CONVEX_SIZES, [r[2] for r in crows])
+    mods = library_lines()
     out = os.path.join(os.path.dirname(__file__), "..", "docs", "benchmark.md")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w") as fh:
@@ -158,6 +171,11 @@ def main():
             fh.write(f"| {n} | {tb:.4f} | {ts:.4f} |\n")
         fh.write(f"\nLog-log slope over the full range: build {s_b:.3f}, "
                  f"solve {s_s:.3f}.\n\n")
+        fh.write("## Library size\n\nLines of each module under "
+                 "`src/geofrechet`.\n\n| module | lines |\n|---|---:|\n")
+        for name, lines in mods:
+            fh.write(f"| `{name}` | {lines} |\n")
+        fh.write(f"| total | {sum(k for _, k in mods)} |\n\n")
         fh.write(f"Environment: Python {platform.python_version()}, "
                  f"{platform.system()} {platform.machine()}, single process.\n")
     print(f"wrote {os.path.normpath(out)} (comb slopes {s_m:.3f} / {s_p:.3f}, "

@@ -8,7 +8,7 @@ brute-force free-space oracles for validation.
 from .geometry import (Point2, ParamPoint, PolyCurve, PolygonInstance,
                        MatchingPath, build_instance, eval_curve, subcurve)
 from .oned import (Curve1D, GridPoint, prefix_minima, suffix_minima,
-                   closest_pair_1d, frechet_matching_1d, build_curve_index,
+                   closest_pair_1d, frechet_matching_1d,
                    greedy_step, build_greedy_forest, bichromatic_intersections,
                    propagate_reachability)
 from .geodesic import (GeodesicPath, shortest_path, geodesic_distance,
@@ -27,7 +27,7 @@ __all__ = [
     "Point2", "ParamPoint", "PolyCurve", "PolygonInstance", "MatchingPath",
     "build_instance", "eval_curve", "subcurve",
     "Curve1D", "GridPoint", "prefix_minima", "suffix_minima",
-    "closest_pair_1d", "frechet_matching_1d", "build_curve_index",
+    "closest_pair_1d", "frechet_matching_1d",
     "greedy_step", "build_greedy_forest", "bichromatic_intersections",
     "propagate_reachability",
     "GeodesicPath", "shortest_path", "geodesic_distance", "edge_profile",

@@ -322,16 +322,15 @@ def render_svg(inst_or_1d, kind: str) -> str:
         out.append('</g>')
         out.append('<g id="forests">')
         if "S" in data and "delta" in data:
-            from .oned import build_curve_index, build_greedy_forest
+            from .oned import build_greedy_forest
             cr = Curve1D(r)
             cb = Curve1D(b)
             S = [GridPoint(int(i), int(j)) for (i, j) in data["S"]]
             delta = float(data["delta"])
             x0, y0, w, h = 40.0, 520.0, 920.0, 440.0
             n, m = cr.n, cb.n
-            ri, bi = build_curve_index(cr), build_curve_index(cb)
             for orientation in ("horizontal", "vertical"):
-                f = build_greedy_forest(cr, cb, delta, S, orientation, True, ri, bi)
+                f = build_greedy_forest(cr, cb, delta, S, orientation)
                 color = "#8e44ad" if orientation == "horizontal" else "#16a085"
                 for ((i1, j1), (i2, j2)) in list(f.edges()) + list(f.extensions):
                     p1 = (x0 + w * (i1 - 1) / max(n - 1, 1), y0 + h * (m - j1) / max(m - 1, 1))

@@ -10,9 +10,10 @@ lexicographically smaller meaning closer to 0.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,6 +70,11 @@ class Curve1D:
 
     def reversed(self) -> "Curve1D":
         return Curve1D(self.values[::-1], self.side, self.orig_idx[::-1])
+
+    @functools.cached_property
+    def index(self) -> "CurveIndex":
+        """Range index of this curve, built on first use."""
+        return CurveIndex(self)
 
     def _ranks(self) -> np.ndarray:
         """Dense ranks of the perturbation keys within this curve."""
@@ -173,10 +179,11 @@ def frechet_matching_1d(r: Curve1D, b: Curve1D) -> MatchingPath:
 # support index
 
 class CurveIndex:
-    """Range max / range min / rank-argmin sparse tables plus ANSV links.
+    """Range max / rank-argmin sparse tables plus ANSV links.
 
     All queries are 1-based with inclusive ranges and answer exactly what a
-    linear scan over the same curve would.
+    linear scan over the same curve would. The perturbation key orders by
+    |value| first, so the range min is the value at the range argmin.
     """
 
     def __init__(self, c: Curve1D):
@@ -184,10 +191,8 @@ class CurveIndex:
         A = c.A
         n = A.size
         self.n = n
-        K = max(1, n.bit_length())
         ranks = c._ranks()
         self._maxt = [A.copy()]
-        self._mint = [A.copy()]
         argmin0 = np.arange(n, dtype=np.int64)
         self._rankt = [ranks.copy()]
         self._argt = [argmin0]
@@ -196,8 +201,6 @@ class CurveIndex:
             h = 1 << (k - 1)
             pm = self._maxt[-1]
             self._maxt.append(np.maximum(pm[:-h], pm[h:]))
-            pmin = self._mint[-1]
-            self._mint.append(np.minimum(pmin[:-h], pmin[h:]))
             pr, pa = self._rankt[-1], self._argt[-1]
             left_wins = pr[:-h] <= pr[h:]
             self._rankt.append(np.where(left_wins, pr[:-h], pr[h:]))
@@ -211,7 +214,6 @@ class CurveIndex:
                 nxt[stack.pop()] = i
             stack.append(i)
         self._next_smaller = nxt
-        self._ranks = ranks
 
     def _check(self, i: int, j: int):
         if not (1 <= i <= j <= self.n):
@@ -224,10 +226,7 @@ class CurveIndex:
         return float(max(t[i - 1], t[j - (1 << k)]))
 
     def range_min(self, i: int, j: int) -> float:
-        self._check(i, j)
-        k = (j - i + 1).bit_length() - 1
-        t = self._mint[k]
-        return float(min(t[i - 1], t[j - (1 << k)]))
+        return self.curve.a(self.range_argmin(i, j))
 
     def range_argmin(self, i: int, j: int) -> int:
         """Index in [i,j] with the smallest perturbation key."""
@@ -270,16 +269,13 @@ class CurveIndex:
         return None if v < 0 else int(v + 1)
 
 
-def build_curve_index(c: Curve1D) -> CurveIndex:
-    return CurveIndex(c)
-
-
 # ---------------------------------------------------------------------------
 # greedy steps and forests
 
-def _hstep(r: Curve1D, b: Curve1D, ri: CurveIndex, bi: CurveIndex,
-           i: int, j: int, delta: float) -> Optional[tuple[int, int]]:
+def _hstep(r: Curve1D, b: Curve1D, i: int, j: int,
+           delta: float) -> Optional[tuple[int, int]]:
     """One horizontal-preferring greedy step from free vertex pair (i,j)."""
+    ri, bi = r.index, b.index
     i2 = ri.next_smaller(i)
     slack_h = delta - b.a(j)
     if i2 is not None and ri.range_max(i, i2) <= slack_h:
@@ -298,21 +294,19 @@ def _hstep(r: Curve1D, b: Curve1D, ri: CurveIndex, bi: CurveIndex,
     return None
 
 
-def _step(r: Curve1D, b: Curve1D, ri: CurveIndex, bi: CurveIndex,
-          i: int, j: int, delta: float, orientation: str):
+def _step(r: Curve1D, b: Curve1D, i: int, j: int, delta: float,
+          orientation: str):
     """greedy_step on a free vertex pair (i, j) without the input checks."""
     if orientation == "horizontal":
-        return _hstep(r, b, ri, bi, i, j, delta)
+        return _hstep(r, b, i, j, delta)
     if orientation == "vertical":
-        q = _hstep(b, r, bi, ri, j, i, delta)
+        q = _hstep(b, r, j, i, delta)
         return None if q is None else (q[1], q[0])
     raise ValueError("orientation must be horizontal or vertical")
 
 
 def greedy_step(r: Curve1D, b: Curve1D, p: GridPoint, delta: float,
-                orientation: str = "horizontal",
-                rindex: Optional[CurveIndex] = None,
-                bindex: Optional[CurveIndex] = None) -> Optional[GridPoint]:
+                orientation: str = "horizontal") -> Optional[GridPoint]:
     """Next vertex of the greedy matching from p, or None at a terminal.
 
     orientation 'horizontal' prefers the longest admissible horizontal jump
@@ -323,8 +317,7 @@ def greedy_step(r: Curve1D, b: Curve1D, p: GridPoint, delta: float,
         raise ValueError("grid point out of range")
     if r.a(i) + b.a(j) > delta:
         raise ValueError(f"point ({i},{j}) outside free space")
-    q = _step(r, b, rindex or build_curve_index(r), bindex or build_curve_index(b),
-              i, j, delta, orientation)
+    q = _step(r, b, i, j, delta, orientation)
     return None if q is None else GridPoint(*q)
 
 
@@ -332,26 +325,20 @@ def greedy_step(r: Curve1D, b: Curve1D, p: GridPoint, delta: float,
 class GreedyForest:
     """Union of greedy matchings from a seed set, merged on first contact.
 
-    Coordinates are (x, y) grid parameters; extension endpoints may be
-    fractional. adjacency maps a vertex to its neighbor set; parent maps a
-    vertex to the next vertex toward its root (roots map to None).
+    Coordinates are (x, y) grid parameters. parent maps a vertex to the
+    next vertex toward its root (roots map to None); a greedy step only
+    increases a coordinate, so each vertex is smaller than its parent.
+    Every root has one extension, the free run from it in the forest's
+    orientation, whose far end may be fractional.
     """
     orientation: str
-    adjacency: dict
     parent: dict
     roots: list[tuple[float, float]]
-    extensions: list[tuple[tuple[float, float], tuple[float, float]]] = field(default_factory=list)
+    extensions: list[tuple[tuple[float, float], tuple[float, float]]]
 
     def edges(self):
-        seen = set()
-        out = []
-        for u, nbrs in self.adjacency.items():
-            for v in nbrs:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((key[0], key[1]))
-        return out
+        """(child, parent) for every non-root vertex."""
+        return [(v, p) for v, p in self.parent.items() if p is not None]
 
     def path_from(self, seed: GridPoint) -> list[tuple[float, float]]:
         p = (float(seed.i), float(seed.j))
@@ -373,110 +360,74 @@ def _between(a, p, b) -> bool:
     return False
 
 
+def _forest(r: Curve1D, b: Curve1D, delta: float, seeds,
+            orientation: str) -> GreedyForest:
+    """build_greedy_forest on seeds known to be free vertex pairs."""
+    parent: dict = {}
+    children: dict = {}
+    roots: list = []
+    for s in sorted(set(seeds)):
+        p = (float(s.i), float(s.j))
+        if p in parent:
+            continue
+        while True:
+            q = _step(r, b, int(p[0]), int(p[1]), delta, orientation)
+            if q is None:
+                parent[p] = None
+                roots.append(p)
+                break
+            q = (float(q[0]), float(q[1]))
+            if q in parent:
+                # merge: existing vertices on segment (p, q] lie on one chain
+                # toward q; walk down to the one nearest p
+                cur = q
+                while nxt := next((u for u in children.get(cur, ())
+                                   if _between(p, u, cur)), None):
+                    cur = nxt
+                sub = next((u for u in children.get(cur, ())
+                            if _between(u, p, cur)), None)
+                if sub is not None:
+                    # p interior to existing edge sub-cur: subdivide at p
+                    children[cur].remove(sub)
+                    children.setdefault(p, []).append(sub)
+                    parent[sub] = p
+                children.setdefault(cur, []).append(p)
+                parent[p] = cur
+                break
+            children.setdefault(q, []).append(p)
+            parent[p] = q
+            p = q
+    ext = []
+    hor = orientation == "horizontal"
+    for v in roots:
+        # the free run from the root along the curve the orientation moves on
+        i, j = int(v[0]), int(v[1])
+        c, k, U = (r, i, delta - b.a(j)) if hor else (b, j, delta - r.a(i))
+        k1 = c.index.last_below(k, U)
+        end = float(k1)
+        if k1 < c.n:
+            a0, a1 = c.a(k1), c.a(k1 + 1)
+            if a1 > U >= a0 and a1 > a0:
+                end = k1 + (U - a0) / (a1 - a0)
+        ext.append((v, (end, v[1]) if hor else (v[0], end)))
+    return GreedyForest(orientation, parent, roots, ext)
+
+
 def build_greedy_forest(r: Curve1D, b: Curve1D, delta: float,
-                        seeds: list[GridPoint], orientation: str = "horizontal",
-                        extend: bool = False,
-                        rindex: Optional[CurveIndex] = None,
-                        bindex: Optional[CurveIndex] = None) -> GreedyForest:
+                        seeds: list[GridPoint],
+                        orientation: str = "horizontal") -> GreedyForest:
     """Build the geometric forest of greedy matchings from the seeds.
 
     Each seed's path follows greedy_step until it terminates or meets the
     existing structure; meeting points are always greedy targets, so a path
     either lands on an existing vertex or subdivides the edge it lies on.
     """
-    ri = rindex or build_curve_index(r)
-    bi = bindex or build_curve_index(b)
     for s in seeds:
         if not (1 <= s.i <= r.n and 1 <= s.j <= b.n):
             raise ValueError(f"seed {tuple(s)} out of range")
         if r.a(s.i) + b.a(s.j) > delta:
             raise ValueError(f"seed {tuple(s)} outside free space")
-    adjacency: dict = {}
-    parent: dict = {}
-    roots: list = []
-
-    def add_vertex(v):
-        adjacency.setdefault(v, set())
-
-    def link(u, v):
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
-    def unlink(u, v):
-        adjacency[u].discard(v)
-        adjacency[v].discard(u)
-
-    for s in sorted(set(seeds)):
-        p = (float(s.i), float(s.j))
-        if p in adjacency:
-            continue
-        add_vertex(p)
-        while True:
-            q = _step(r, b, ri, bi, int(p[0]), int(p[1]), delta, orientation)
-            if q is None:
-                parent.setdefault(p, None)
-                roots.append(p)
-                break
-            q = (float(q[0]), float(q[1]))
-            if q in adjacency:
-                # merge: existing vertices on segment (p, q] lie on one chain
-                # toward q; walk down to the one nearest p
-                cur = q
-                while True:
-                    nxt = None
-                    for u in adjacency[cur]:
-                        if _between(p, u, cur):
-                            nxt = u
-                            break
-                    if nxt is None:
-                        break
-                    cur = nxt
-                sub = None
-                for u in adjacency[cur]:
-                    if _between(u, p, cur):
-                        sub = u
-                        break
-                add_vertex(p)
-                if sub is not None:
-                    # p interior to existing edge sub-cur: subdivide at p
-                    unlink(cur, sub)
-                    link(cur, p)
-                    link(p, sub)
-                    if parent.get(sub) == cur:
-                        parent[sub] = p
-                else:
-                    link(p, cur)
-                parent[p] = cur
-                break
-            add_vertex(q)
-            link(p, q)
-            parent[p] = q
-            p = q
-
-    extensions = []
-    if extend:
-        for rho in roots:
-            i, j = int(rho[0]), int(rho[1])
-            if orientation == "horizontal":
-                U = delta - b.a(j)
-                i1 = ri.last_below(i, U)
-                x2 = float(i1)
-                if i1 < r.n:
-                    a0, a1 = r.a(i1), r.a(i1 + 1)
-                    if a1 > U >= a0 and a1 > a0:
-                        x2 = i1 + (U - a0) / (a1 - a0)
-                extensions.append(((float(i), float(j)), (x2, float(j))))
-            else:
-                U = delta - r.a(i)
-                j1 = bi.last_below(j, U)
-                y2 = float(j1)
-                if j1 < b.n:
-                    a0, a1 = b.a(j1), b.a(j1 + 1)
-                    if a1 > U >= a0 and a1 > a0:
-                        y2 = j1 + (U - a0) / (a1 - a0)
-                extensions.append(((float(i), float(j)), (float(i), y2)))
-
-    return GreedyForest(orientation, adjacency, parent, roots, extensions)
+    return _forest(r, b, delta, seeds, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -558,26 +509,16 @@ def bichromatic_intersections(red, blue):
 # ---------------------------------------------------------------------------
 # reachability propagation
 
-def _forest_segments(forest: GreedyForest):
-    """All edges plus extensions as coordinate segments."""
-    segs = list(forest.edges())
-    segs.extend(forest.extensions)
-    return segs
-
-
-def _map_back(seg, n, m):
-    (x1, y1), (x2, y2) = seg
-    return ((n + 1 - x1, m + 1 - y1), (n + 1 - x2, m + 1 - y2))
-
-
 def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
                            S: list[GridPoint], E: list[GridPoint]) -> list[GridPoint]:
     """All points of E that are delta-reachable from some point of S.
 
-    Builds the extended horizontal- and vertical-greedy forests of S and the
-    reversed forests of E, marks the edges of the E forests that touch an
-    edge of the S forests (one-sided: the S edges are never marked), and
-    reports the E points whose reverse paths run through a marked edge.
+    Builds the extended horizontal- and vertical-greedy forests of S (red)
+    and of E on the reversed curves (blue). Each blue segment is owned by
+    one vertex: an edge by its child end, an extension by its root. The
+    owners whose segment touches a red segment are marked (one-sided: red
+    is never marked), and an E point is reachable when a vertex on its
+    reverse path, in either blue forest, is marked.
     """
     S = [GridPoint(*p) for p in S]
     E = [GridPoint(*p) for p in E]
@@ -588,47 +529,28 @@ def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
             raise ValueError(f"point {tuple(p)} outside free space")
     if not S or not E:
         return []
-    n, m = r.n, b.n
-    ri = build_curve_index(r)
-    bi = build_curve_index(b)
-    fh = build_greedy_forest(r, b, delta, S, "horizontal", True, ri, bi)
-    fv = build_greedy_forest(r, b, delta, S, "vertical", True, ri, bi)
-    red = _forest_segments(fh) + _forest_segments(fv)
-
+    red = []
+    for o in ("horizontal", "vertical"):
+        f = _forest(r, b, delta, S, o)
+        red += f.edges() + f.extensions
+    n1, m1 = r.n + 1, b.n + 1
     rr, br = r.reversed(), b.reversed()
-    rri = build_curve_index(rr)
-    bri = build_curve_index(br)
-    E_rev = [GridPoint(n + 1 - p.i, m + 1 - p.j) for p in E]
-    out: set[GridPoint] = set()
-    blue = []
-    blue_mu = []  # child endpoint (reversed coords) owning each blue segment
-    rev_forests = []
-    for orient_ in ("horizontal", "vertical"):
-        f = build_greedy_forest(rr, br, delta, E_rev, orient_, True, rri, bri)
-        rev_forests.append(f)
-        for (u, v) in f.edges():
-            # child = endpoint farther from the root = the one whose parent
-            # chain passes through the other
-            child = u if f.parent.get(u) == v else v
-            blue.append(_map_back((u, v), n, m))
-            blue_mu.append((f, child))
-        for ext in f.extensions:
-            blue.append(_map_back(ext, n, m))
-            blue_mu.append((f, ext[0]))  # extension belongs to its root
-
-    # collect, per forest vertex, the E seeds whose path runs through it
-    seeds_of: dict = {}
-    for f in rev_forests:
-        at: dict = {}
-        for p in E_rev:
+    E_rev = [GridPoint(n1 - p.i, m1 - p.j) for p in E]
+    blue, owners = [], []
+    forests = [_forest(rr, br, delta, E_rev, o) for o in ("horizontal", "vertical")]
+    for k, f in enumerate(forests):
+        for seg in f.edges() + f.extensions:
+            (x1, y1), (x2, y2) = seg
+            blue.append(((n1 - x1, m1 - y1), (n1 - x2, m1 - y2)))
+            owners.append((k, seg[0]))
+    marked = {owners[t] for t in _touched(blue, red)}
+    out = set()
+    for e, p in zip(E, E_rev):
+        for k, f in enumerate(forests):
             v = (float(p.i), float(p.j))
-            while v is not None:
-                at.setdefault(v, set()).add((float(p.i), float(p.j)))
-                v = f.parent.get(v)
-        seeds_of[id(f)] = at
-
-    for idx in _touched(blue, red):
-        f, mu = blue_mu[idx]
-        for v in seeds_of[id(f)].get(mu, ()):
-            out.add(GridPoint(int(round(n + 1 - v[0])), int(round(m + 1 - v[1]))))
+            while v is not None and (k, v) not in marked:
+                v = f.parent[v]
+            if v is not None:
+                out.add(e)
+                break
     return sorted(out)

@@ -1,5 +1,5 @@
-"""Independent brute-force references: free-space decision DP, bisection
-optimization, and seeded grid reachability.
+"""Independent brute-force references: free-space decision DP and bisection
+optimization.
 
 Everything here is written against the textbook cell-interval propagation
 and deliberately shares no logic with the slab/anchor pipeline. Intended
@@ -305,42 +305,3 @@ def frechet_bisect(inp, metric: str = "euclidean", tol: float = 1e-10) -> float:
         else:
             lo = mid
     return hi
-
-
-def reachable_points_bruteforce(r, b, delta: float, S, E):
-    """Subset of E delta-reachable from S via the interval DP (oneD metric)."""
-    rv = np.abs(np.asarray(getattr(r, "values", r), dtype=float))
-    bv = np.abs(np.asarray(getattr(b, "values", b), dtype=float))
-    n, m = len(rv), len(bv)
-    S = [tuple(p) for p in S]
-    E = [tuple(p) for p in E]
-    for (i, j) in S + E:
-        if rv[i - 1] + bv[j - 1] > delta:
-            raise ValueError(f"point ({i},{j}) outside free space")
-    out = set(p for p in E if p in set(S))
-    if n == 1 or m == 1:
-        for (ei, ej) in E:
-            for (si, sj) in S:
-                if si <= ei and sj <= ej:
-                    okr = np.all(rv[si - 1:ei] + bv[sj - 1] <= delta + TOL) if n > 1 else True
-                    okb = np.all(rv[ei - 1] + bv[sj - 1:ej] <= delta + TOL) if m > 1 else True
-                    # movement order: along r at b(sj) then along b at r(ei),
-                    # or the other order; either suffices on a path graph
-                    okr2 = np.all(rv[si - 1:ei] + bv[ej - 1] <= delta + TOL) if n > 1 else True
-                    okb2 = np.all(rv[si - 1] + bv[sj - 1:ej] <= delta + TOL) if m > 1 else True
-                    if (okr and okb) or (okr2 and okb2):
-                        out.add((ei, ej))
-        return sorted(out)
-    fs = _freespace_1d(rv, bv, delta)
-    VL, HB = _reach_dp(fs, S)
-    top, right = _corner_sets(fs, VL, HB, S)
-    for (ei, ej) in E:
-        if (ei, ej) in out:
-            continue
-        if ej == m and top[ei]:
-            out.add((ei, ej))
-        elif ei == n and right[ej]:
-            out.add((ei, ej))
-        elif ej < m and ei < n and _corner_reachable(fs, VL, HB, ei, ej):
-            out.add((ei, ej))
-    return sorted(out)

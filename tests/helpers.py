@@ -6,9 +6,13 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
+
 import geofrechet.geometry as geometry
 from geofrechet.geometry import orient, seg_intersect
 from geofrechet.geodesic import PAR_TOL, SegmentProfile, get_engine
+from geofrechet.oracle import (TOL, _corner_reachable, _corner_sets,
+                               _freespace_1d, _reach_dp)
 
 
 def _point_seg_dist(p, a, b):
@@ -389,9 +393,7 @@ def check_lower_envelope(r, b, delta: float):
     """(violations, checks) of: every reachable global prefix-minima pair
     sits vertically above the horizontal greedy path (with extensions) via
     a free connector."""
-    from geofrechet.oned import (GridPoint, build_curve_index,
-                                 build_greedy_forest, prefix_minima)
-    from geofrechet.oracle import reachable_points_bruteforce
+    from geofrechet.oned import GridPoint, build_greedy_forest, prefix_minima
     s = GridPoint(1, 1)
     if r.a(1) + b.a(1) > delta:
         return 0, 0
@@ -400,8 +402,7 @@ def check_lower_envelope(r, b, delta: float):
     reach = {(int(t[0]), int(t[1]))
              for t in reachable_points_bruteforce(r, b, delta, [s], free)}
     pmr, pmb = set(prefix_minima(r)), set(prefix_minima(b))
-    ri, bi = build_curve_index(r), build_curve_index(b)
-    f = build_greedy_forest(r, b, delta, [s], "horizontal", True, ri, bi)
+    f = build_greedy_forest(r, b, delta, [s], "horizontal")
     edges = [((s.i, s.j), (s.i, s.j))] + list(f.edges()) + list(f.extensions)
     viol = checks = 0
     for (i, j) in sorted(reach):
@@ -607,3 +608,42 @@ def reference_build_instance(R, B):
     finally:
         (geometry.PolyCurve.is_simple, geometry._curves_cross,
          geometry.ear_clip) = saved
+
+
+def reachable_points_bruteforce(r, b, delta: float, S, E):
+    """Subset of E delta-reachable from S via the interval DP (oneD metric)."""
+    rv = np.abs(np.asarray(getattr(r, "values", r), dtype=float))
+    bv = np.abs(np.asarray(getattr(b, "values", b), dtype=float))
+    n, m = len(rv), len(bv)
+    S = [tuple(p) for p in S]
+    E = [tuple(p) for p in E]
+    for (i, j) in S + E:
+        if rv[i - 1] + bv[j - 1] > delta:
+            raise ValueError(f"point ({i},{j}) outside free space")
+    out = set(p for p in E if p in set(S))
+    if n == 1 or m == 1:
+        for (ei, ej) in E:
+            for (si, sj) in S:
+                if si <= ei and sj <= ej:
+                    okr = np.all(rv[si - 1:ei] + bv[sj - 1] <= delta + TOL) if n > 1 else True
+                    okb = np.all(rv[ei - 1] + bv[sj - 1:ej] <= delta + TOL) if m > 1 else True
+                    # movement order: along r at b(sj) then along b at r(ei),
+                    # or the other order; either suffices on a path graph
+                    okr2 = np.all(rv[si - 1:ei] + bv[ej - 1] <= delta + TOL) if n > 1 else True
+                    okb2 = np.all(rv[si - 1] + bv[sj - 1:ej] <= delta + TOL) if m > 1 else True
+                    if (okr and okb) or (okr2 and okb2):
+                        out.add((ei, ej))
+        return sorted(out)
+    fs = _freespace_1d(rv, bv, delta)
+    VL, HB = _reach_dp(fs, S)
+    top, right = _corner_sets(fs, VL, HB, S)
+    for (ei, ej) in E:
+        if (ei, ej) in out:
+            continue
+        if ej == m and top[ei]:
+            out.add((ei, ej))
+        elif ei == n and right[ej]:
+            out.add((ei, ej))
+        elif ej < m and ei < n and _corner_reachable(fs, VL, HB, ei, ej):
+            out.add((ei, ej))
+    return sorted(out)

@@ -12,14 +12,14 @@ from geofrechet.driver import approx_decide, approx_optimize, geodesic_hausdorff
 from geofrechet.farslab import build_separator_anchors
 from geofrechet.generators import (gen_comb_1d, gen_convex, gen_random_1d)
 from geofrechet.nnprofile import EmptyFanLeaf, build_slabs, nn_profile
-from geofrechet.oned import (GridPoint, build_curve_index, build_greedy_forest,
+from geofrechet.oned import (GridPoint, build_greedy_forest,
                              frechet_matching_1d, propagate_reachability)
-from geofrechet.oracle import (frechet_bisect, freespace_decide,
-                               reachable_points_bruteforce)
+from geofrechet.oracle import frechet_bisect, freespace_decide
 
 from helpers import (check_lower_envelope, check_matching_to_fan,
                      check_monotone_leaves, check_shortcutting, check_snapping,
-                     eval_path_cost, random_instance, sub_instance)
+                     eval_path_cost, random_instance,
+                     reachable_points_bruteforce, sub_instance)
 
 
 def emit(capsys, ok: bool, num: int, msg: str):
@@ -89,8 +89,7 @@ def test_criterion_3_forest_properties(capsys):
         if not free:
             continue
         seeds = sorted({free[rng.randrange(len(free))] for _ in range(4)})
-        ri, bi = build_curve_index(r), build_curve_index(b)
-        f = build_greedy_forest(r, b, delta, seeds, "horizontal", True, ri, bi)
+        f = build_greedy_forest(r, b, delta, seeds, "horizontal")
         verts = set()
         for (p1, p2) in list(f.edges()) + list(f.extensions):
             verts.add(tuple(p1))

@@ -228,3 +228,15 @@ def test_render_oned_forests(tmp_path, capsys):
     doc2 = open(svg2).read()
     assert re.search(r'<g id="forests">\s*</g>', doc2)
     capsys.readouterr()
+
+
+def test_render_oned_forests_repeatable(tmp_path, capsys):
+    f = str(tmp_path / "comb.json")
+    assert main(["gen", "--kind", "comb", "--n", "20", "--seed", "2", "--out", f]) == 0
+    docs = []
+    for name in ("a.svg", "b.svg"):
+        svg = str(tmp_path / name)
+        assert main(["render", "--svg", svg, f]) == 0
+        docs.append(open(svg, "rb").read())
+    assert docs[0] == docs[1] and docs[0].count(b"<line") > 10
+    capsys.readouterr()

@@ -6,13 +6,12 @@ import pytest
 
 from geofrechet.generators import gen_random_1d
 from geofrechet.oned import (Curve1D, GridPoint, bichromatic_intersections,
-                             build_curve_index, build_greedy_forest,
-                             closest_pair_1d, frechet_matching_1d,
-                             greedy_step, prefix_minima,
+                             build_greedy_forest, closest_pair_1d,
+                             frechet_matching_1d, greedy_step, prefix_minima,
                              propagate_reachability, suffix_minima)
-from geofrechet.oracle import frechet_bisect, reachable_points_bruteforce
+from geofrechet.oracle import frechet_bisect
 
-from helpers import eval_path_cost
+from helpers import eval_path_cost, reachable_points_bruteforce
 
 
 def test_side_validation():
@@ -102,7 +101,7 @@ def test_curve_index_vs_scans():
     for _ in range(25):
         n = rng.randint(1, 30)
         c = Curve1D([-rng.uniform(0.1, 10) for _ in range(n)])
-        idx = build_curve_index(c)
+        idx = c.index
         A = [c.a(i) for i in range(1, n + 1)]
         for _ in range(40):
             i = rng.randint(1, n)
@@ -183,6 +182,69 @@ def test_forest_merge_shares_structure():
     f = build_greedy_forest(r, b, 10.0, [GridPoint(1, 1), GridPoint(2, 1)],
                             "horizontal")
     assert len(f.roots) == 1
+
+
+def _run_end(c, k, U):
+    """Far end of the free run along c from vertex k under the budget U,
+    by a scan: the last vertex within U, then the linear crossing of U."""
+    while k < c.n and c.a(k + 1) <= U:
+        k += 1
+    if k == c.n:
+        return float(k)
+    return k + (U - c.a(k)) / (c.a(k + 1) - c.a(k))
+
+
+def test_forest_extends_every_root():
+    for seed in range(60):
+        rng = random.Random(seed)
+        r, b = gen_random_1d(rng.randint(1, 12), rng.randint(1, 12), 700 + seed)
+        delta = r.a(rng.randint(1, r.n)) + b.a(rng.randint(1, b.n)) + rng.uniform(0, 3)
+        free = [GridPoint(i, j) for i in range(1, r.n + 1)
+                for j in range(1, b.n + 1) if r.a(i) + b.a(j) <= delta]
+        if not free:
+            continue
+        seeds = [free[rng.randrange(len(free))] for _ in range(5)]
+        for orientation in ("horizontal", "vertical"):
+            f = build_greedy_forest(r, b, delta, seeds, orientation)
+            assert sorted(e[0] for e in f.extensions) == sorted(f.roots)
+            for (x, y), end in f.extensions:
+                i, j = int(x), int(y)
+                if orientation == "horizontal":
+                    want = (_run_end(r, i, delta - b.a(j)), y)
+                else:
+                    want = (x, _run_end(b, j, delta - r.a(i)))
+                assert end == pytest.approx(want, abs=1e-12)
+
+
+def test_propagate_repeated_and_shared_points():
+    shared = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        r, b = gen_random_1d(rng.randint(1, 12), rng.randint(1, 12), 900 + seed)
+        delta = r.a(rng.randint(1, r.n)) + b.a(rng.randint(1, b.n)) + rng.uniform(0, 3)
+        free = [GridPoint(i, j) for i in range(1, r.n + 1)
+                for j in range(1, b.n + 1) if r.a(i) + b.a(j) <= delta]
+        if not free:
+            continue
+        S = [free[rng.randrange(len(free))] for _ in range(6)]
+        E = [free[rng.randrange(len(free))] for _ in range(6)]
+        # the next vertex of an E point's reverse greedy path: an E point on
+        # another E point's chain
+        n1, m1 = r.n + 1, b.n + 1
+        for e in E[:3]:
+            q = greedy_step(r.reversed(), b.reversed(), GridPoint(n1 - e.i, m1 - e.j),
+                            delta, rng.choice(("horizontal", "vertical")))
+            if q is not None:
+                E.append(GridPoint(n1 - q.i, m1 - q.j))
+                shared += 1
+        S += S[:2] + E[:2]
+        E += E[:2] + S[:1]
+        rng.shuffle(S)
+        rng.shuffle(E)
+        got = sorted(map(tuple, propagate_reachability(r, b, delta, S, E)))
+        want = sorted(map(tuple, reachable_points_bruteforce(r, b, delta, S, E)))
+        assert got == want
+    assert shared > 20
 
 
 def test_bichromatic_examples():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from geofrechet.generators import gen_random_1d
 from geofrechet.oned import (Curve1D, GridPoint, frechet_matching_1d,
                              propagate_reachability)
-from geofrechet.oracle import frechet_bisect, reachable_points_bruteforce
+from geofrechet.oracle import frechet_bisect
 
 from helpers import (check_lower_envelope, check_matching_to_fan,
                      check_monotone_leaves, check_shortcutting,
-                     check_snapping, random_instance)
+                     check_snapping, random_instance,
+                     reachable_points_bruteforce)
 
 
 values = st.lists(st.floats(min_value=0.1, max_value=10.0,
