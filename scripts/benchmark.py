@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure comb-family 1D scaling, far-slab propagation on the sweep
-instances and convex-solver scaling, count the library's lines, and
-publish docs/benchmark.md."""
+instances, approx_optimize against n+m and convex-solver scaling, count
+the library's lines, and publish docs/benchmark.md."""
 import math
 import os
 import platform
@@ -9,7 +9,7 @@ import random
 import statistics
 import time
 
-from geofrechet import farslab, generators
+from geofrechet import driver, farslab, generators
 from geofrechet.convex import convex_frechet
 from geofrechet.driver import approx_optimize
 from geofrechet.generators import gen_comb_1d
@@ -18,6 +18,8 @@ from geofrechet.oned import frechet_matching_1d, propagate_reachability
 
 SIZES = [1000, 10000, 100000]
 SWEEP = 40
+# gen_simple(3, n, spikes=1) has n+m = 16, 33, 64, 128 at these n
+SCALING_N = [14, 32, 62, 130]
 CONVEX_SIZES = [200, 400, 800, 1600, 3200]
 REPS = 3
 
@@ -83,6 +85,33 @@ def bench_sweep():
             statistics.median(m for _, m in sizes))
 
 
+def bench_scaling(n):
+    """(n+m, total s, s inside geodesic_hausdorff) of approx_optimize at
+    eps 0.1 on a fresh gen_simple(3, n, spikes=1), best of REPS."""
+    inner = driver.geodesic_hausdorff
+    spent = [0.0]
+
+    def timed(inst):
+        t0 = time.perf_counter()
+        out = inner(inst)
+        spent[0] += time.perf_counter() - t0
+        return out
+
+    driver.geodesic_hausdorff = timed
+    best_total = best_dh = math.inf
+    try:
+        for _ in range(REPS):
+            inst = generators.gen_simple(3, n, spikes=1)
+            spent[0] = 0.0
+            t0 = time.perf_counter()
+            approx_optimize(inst, 0.1)
+            best_total = min(best_total, time.perf_counter() - t0)
+            best_dh = min(best_dh, spent[0])
+    finally:
+        driver.geodesic_hausdorff = inner
+    return inst.R.n + inst.B.n, best_total, best_dh
+
+
 def ellipse(seed, n):
     """n points on a random ellipse at jittered even angles, split at a
     random vertex, as in the convex benchmark workload."""
@@ -128,6 +157,9 @@ def main():
     s_m = slope(SIZES, [r[1] for r in rows])
     s_p = slope(SIZES, [r[2] for r in rows])
     sweep_s, prop_s, calls, med_n, med_m = bench_sweep()
+    grows = [bench_scaling(n) for n in SCALING_N]
+    s_t = slope([r[0] for r in grows], [r[1] for r in grows])
+    s_h = slope([r[0] for r in grows], [r[2] for r in grows])
     crows = [(n, *bench_convex(n)) for n in CONVEX_SIZES]
     s_b = slope(CONVEX_SIZES, [r[1] for r in crows])
     s_s = slope(CONVEX_SIZES, [r[2] for r in crows])
@@ -159,6 +191,17 @@ def main():
         fh.write("|---:|---:|---:|---:|\n")
         fh.write(f"| {sweep_s:.3f} | {prop_s:.3f} | {calls} "
                  f"| {med_n:g} × {med_m:g} |\n\n")
+        fh.write("## approx_optimize against n+m\n\n")
+        fh.write("`approx_optimize` at eps 0.1 on `gen_simple(3, n, spikes=1)`,\n"
+                 "built fresh for each of %d runs (best time kept). The\n"
+                 "Hausdorff column is the time inside `geodesic_hausdorff`,\n"
+                 "which builds both nearest-neighbour profiles.\n\n" % REPS)
+        fh.write("| n+m | approx_optimize (s) | geodesic_hausdorff (s) |\n")
+        fh.write("|---:|---:|---:|\n")
+        for (nm, tt, th) in grows:
+            fh.write(f"| {nm} | {tt:.4f} | {th:.4f} |\n")
+        fh.write(f"\nLog-log slope over the full range: total {s_t:.3f}, "
+                 f"Hausdorff {s_h:.3f}.\n\n")
         fh.write("## Convex polygons\n\n")
         fh.write("Wall time (best of %d runs) of `build_instance` and of\n"
                  "`convex_frechet` on a fresh instance, for an ellipse with N\n"
@@ -180,6 +223,7 @@ def main():
                  f"{platform.system()} {platform.machine()}, single process.\n")
     print(f"wrote {os.path.normpath(out)} (comb slopes {s_m:.3f} / {s_p:.3f}, "
           f"sweep {sweep_s:.3f} s with {prop_s:.3f} s propagating, "
+          f"approx_optimize slope {s_t:.3f}, "
           f"convex solve slope {s_s:.3f})")
 
 

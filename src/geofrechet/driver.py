@@ -80,24 +80,13 @@ def approx_optimize(inst: PolygonInstance, eps: float) -> float:
         return 0.0
     ep = math.sqrt(1 + eps) - 1
     imax = int(math.ceil(math.log(3.0) / math.log1p(ep)))
-    memo = {}
-
-    def yes(i):
-        if i not in memo:
-            memo[i] = approx_decide(inst, d_h * (1 + ep) ** i, ep)
-        return memo[i]
-
-    hi = imax
-    while not yes(hi):
-        # d_F <= 3*d_h guarantees a YES on the grid; extend defensively
-        hi += 1
-        if hi > imax + 60:
-            raise RuntimeError("decision grid exhausted")
-    lo = -1  # below the Hausdorff bound every answer is NO
+    # below the Hausdorff bound every answer is NO; grid point imax lies at
+    # or above 3*d_h >= d_F, so its answer is YES without deciding it
+    lo, hi = -1, imax
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if yes(mid):
+        if approx_decide(inst, d_h * (1 + ep) ** mid, ep):
             hi = mid
         else:
             lo = mid
-    return min((1 + ep) * d_h * (1 + ep) ** hi, 3 * d_h * (1 + eps))
+    return (1 + ep) * d_h * (1 + ep) ** hi

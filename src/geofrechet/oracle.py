@@ -181,10 +181,9 @@ def _freespace_euclid(r_pts, b_pts, delta: float) -> FreeSpaceCellIntervals:
     return FreeSpaceCellIntervals(len(R), len(B), vfree, hfree)
 
 
-def _freespace_geodesic(inst, delta: float, rx=None, by=None) -> FreeSpaceCellIntervals:
+def _freespace_geodesic(inst, delta: float) -> FreeSpaceCellIntervals:
     """Geodesic free space via per-boundary unimodal profiles, cached on the
-    instance so bisection reuses them. rx/by optionally restrict to
-    subranges given as (vertex list) index arrays."""
+    instance so bisection reuses them."""
     from .geodesic import get_engine
 
     eng = get_engine(inst)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geofrechet import driver
 from geofrechet.convex import convex_frechet
 from geofrechet.driver import (approx_decide, approx_optimize, decision_chain,
                                geodesic_hausdorff)
@@ -109,6 +110,24 @@ def test_optimize_vs_oracle(seed):
     for eps in (0.5, 0.1):
         got = approx_optimize(inst, eps)
         assert want * (1 - 1e-6) <= got <= want * (1 + eps) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_optimize_decides_only_below_tripled_hausdorff(seed, monkeypatch):
+    """d_F <= 3*d_H, so the grid point at or above 3*d_H is a YES without
+    deciding it: every decision the search makes is below 3*d_H."""
+    inst = random_instance(seed)
+    deltas = []
+    inner = driver.approx_decide
+
+    def recorded(inst, delta, eps):
+        deltas.append(delta)
+        return inner(inst, delta, eps)
+
+    monkeypatch.setattr(driver, "approx_decide", recorded)
+    approx_optimize(inst, (0.5, 0.1, 0.05)[seed % 3])
+    assert deltas
+    assert max(deltas) < 3 * geodesic_hausdorff(inst)
 
 
 def test_optimize_tight_eps_pocket():

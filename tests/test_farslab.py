@@ -149,6 +149,30 @@ def test_snapped_values_are_anchor_distances(seed):
                         assert v == pytest.approx(want, rel=1e-9, abs=DIST_TOL)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_snapped_chords_dominate_anchor_distances(seed):
+    """Between consecutive snapped samples the linear interpolation stays at
+    or above the geodesic distance to the anchor, so snapped free space is
+    never larger than the true one."""
+    for inst in (gen_pocket(seed), gen_simple(seed, spikes=1),
+                 gen_simple(seed, spikes=2)):
+        eng = get_engine(inst)
+        b1, b2 = tuple(inst.B.pts[0]), tuple(inst.B.pts[-1])
+        d = max(eng.distance(b1, b2), 1e-3)
+        A = build_separator_anchors(inst, b1, b2, d, 0.25)
+        assert A is not None
+        for anchor in A.anchors:
+            for curve in (inst.R, inst.B):
+                xs, vals = _snap_samples(inst, curve, anchor)
+                for (xa, va), (xb, vb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
+                    for f in (0.25, 0.5, 0.75):
+                        chord = va + f * (vb - va)
+                        # abs: the engine's distance slack DIST_TOL
+                        want = eng.distance(tuple(curve.eval(xa + f * (xb - xa))),
+                                            tuple(anchor))
+                        assert chord >= want * (1 - 1e-9) - DIST_TOL
+
+
 def far_instances():
     out = []
     for seed in range(8):

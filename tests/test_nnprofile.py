@@ -12,7 +12,7 @@ from geofrechet import nnprofile
 from geofrechet.nnprofile import (EmptyFanLeaf, build_slabs, fan_leaf,
                                   nn_profile, nn_profile_reverse)
 from geofrechet.oracle import frechet_bisect
-from helpers import max_value_reference, nn_point_reference
+from helpers import max_value_reference, nn_point_reference, random_instance
 
 
 def dense_nn(inst, x, samples=400):
@@ -217,6 +217,44 @@ def test_nn_point_matches_full_scan(make, seed):
         for x in xs + [float(source.n)]:
             assert nnprofile._nn_point(inst, source, target, segs, x) == \
                 nn_point_reference(inst, source, target, x)
+
+
+@pytest.mark.parametrize("make", GENERATORS + [lambda s: random_instance(s + 20)],
+                         ids=["pocket", "spikes1", "spikes2", "convex", "random"])
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_nearest_points_stay_in_their_regime(make, seed):
+    """The profile starts from the source vertices only. At 16 points inside
+    every source edge, the nearest target parameter lies in the y-range of
+    the regime holding the point: no change of nearest edge went unseen."""
+    inst = make(seed)
+    for prof in (nn_profile(inst), nn_profile_reverse(inst)):
+        for i in range(1, prof.source.n):
+            for k in range(1, 17):
+                x = i + k / 17
+                y = nnprofile._nn_point(inst, prof.source, prof.target,
+                                        prof.segs, x)[0]
+                assert any(y0 - 1e-9 <= y <= y1 + 1e-9
+                           for (x0, x1, y0, y1) in prof.regimes
+                           if x0 <= x <= x1), (i, k, y)
+
+
+def test_slab_boundary_fans_computed_once(monkeypatch):
+    """A slab boundary is the exit of one slab and the entrance of the next;
+    build_slabs computes the fan there once."""
+    inst = gen_pocket(0)
+    prof = nn_profile(inst)
+    calls = []
+    inner = nnprofile.fan_leaf
+
+    def counted(inst, apex, seed_x, delta):
+        calls.append(apex)
+        return inner(inst, apex, seed_x, delta)
+
+    monkeypatch.setattr(nnprofile, "fan_leaf", counted)
+    slabs = build_slabs(inst, prof, prof.max_value() * 1.3)
+    assert any(s.kind == "far" for s in slabs)
+    ends = {y for s in slabs for y in (s.y_lo, s.y_hi)}
+    assert len(calls) == len(ends)
 
 
 def test_nn_point_tie_goes_to_smaller_parameter():
