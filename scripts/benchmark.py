@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Measure comb-family 1D scaling, far-slab propagation on the sweep
-instances, approx_optimize against n+m and convex-solver scaling, count
-the library's lines, and publish docs/benchmark.md."""
+"""Measure comb-family 1D scaling, the crossover between the two
+propagation paths, far-slab propagation and NN-profile queries on the
+sweep instances, approx_optimize against n+m and convex-solver scaling,
+count the library's lines, and publish docs/benchmark.md."""
 import math
 import os
 import platform
@@ -9,15 +10,17 @@ import random
 import statistics
 import time
 
-from geofrechet import driver, farslab, generators
+from geofrechet import driver, farslab, generators, nnprofile, oned
 from geofrechet.convex import convex_frechet
 from geofrechet.driver import approx_optimize
 from geofrechet.generators import gen_comb_1d
 from geofrechet.geometry import build_instance
-from geofrechet.oned import frechet_matching_1d, propagate_reachability
+from geofrechet.oned import Curve1D, frechet_matching_1d, propagate_reachability
 
 SIZES = [1000, 10000, 100000]
 SWEEP = 40
+# gen_comb_1d(k) has k x k vertex pairs: 64 to 1,048,576 cells
+CROSSOVER_K = [8, 16, 32, 64, 128, 256, 512, 1024]
 # gen_simple(3, n, spikes=1) has n+m = 16, 33, 64, 128 at these n
 SCALING_N = [14, 32, 62, 130]
 CONVEX_SIZES = [200, 400, 800, 1600, 3200]
@@ -38,6 +41,29 @@ def bench(n):
     return tm, tp
 
 
+def bench_crossover(k):
+    """(n*m, grid s, forests s, path propagate_reachability takes) on
+    gen_comb_1d(k, 7), each path on fresh curves, best of 5."""
+    r, b, delta, S, E = gen_comb_1d(k, 7)
+    taken = []
+    inner = oned._propagate_grid
+    oned._propagate_grid = lambda *a: taken.append("grid") or inner(*a)
+    try:
+        propagate_reachability(r, b, delta, S, E)
+    finally:
+        oned._propagate_grid = inner
+    out = []
+    for path in (oned._propagate_grid, oned._propagate_forests):
+        best = math.inf
+        for _ in range(5):
+            rc, bc = Curve1D(r.values), Curve1D(b.values)
+            t0 = time.perf_counter()
+            path(rc, bc, delta, S, E)
+            best = min(best, time.perf_counter() - t0)
+        out.append(best)
+    return k * k, out[0], out[1], taken[0] if taken else "forests"
+
+
 def sweep_instance(seed):
     """Instance `seed` of the acceptance sweep (criterion 5): pockets,
     simple polygons with 0-2 spikes and convex polygons, n+m <= 30."""
@@ -54,10 +80,28 @@ def sweep_instance(seed):
 def bench_sweep():
     """approx_optimize over the first sweep instances with the sweep's eps
     cycle: (total s, s inside propagate_reachability, propagation calls,
-    median n, median m of the snapped curves), times best of REPS."""
+    grid-path calls, median n, median m of the snapped curves, NN
+    profiles, their vertex starts, their nearest-point queries), times
+    best of REPS, counts from the last run."""
     inner = farslab.propagate_reachability
     sizes = []
     spent = [0.0]
+    counts = {"grid": 0, "nn": 0, "profiles": 0, "starts": 0}
+    grid, nn_search, build = (oned._propagate_grid, nnprofile._nn_search,
+                              nnprofile._build_profile)
+
+    def counted_grid(*a):
+        counts["grid"] += 1
+        return grid(*a)
+
+    def counted_nn(*a):
+        counts["nn"] += 1
+        return nn_search(*a)
+
+    def counted_build(inst, source, target):
+        counts["profiles"] += 1
+        counts["starts"] += source.n
+        return build(inst, source, target)
 
     def timed(r, b, delta, S, E):
         sizes.append((r.n, b.n))
@@ -67,10 +111,14 @@ def bench_sweep():
         return out
 
     farslab.propagate_reachability = timed
+    oned._propagate_grid = counted_grid
+    nnprofile._nn_search = counted_nn
+    nnprofile._build_profile = counted_build
     best_total = best_prop = math.inf
     try:
         for _ in range(REPS):
             sizes.clear()
+            counts.update(dict.fromkeys(counts, 0))
             spent[0] = total = 0.0
             for s in range(SWEEP):
                 inst = sweep_instance(s)
@@ -81,8 +129,13 @@ def bench_sweep():
             best_prop = min(best_prop, spent[0])
     finally:
         farslab.propagate_reachability = inner
-    return (best_total, best_prop, len(sizes), statistics.median(n for n, _ in sizes),
-            statistics.median(m for _, m in sizes))
+        oned._propagate_grid = grid
+        nnprofile._nn_search = nn_search
+        nnprofile._build_profile = build
+    return (best_total, best_prop, len(sizes), counts["grid"],
+            statistics.median(n for n, _ in sizes),
+            statistics.median(m for _, m in sizes),
+            counts["profiles"], counts["starts"], counts["nn"])
 
 
 def bench_scaling(n):
@@ -156,7 +209,9 @@ def main():
     rows = [(n, *bench(n)) for n in SIZES]
     s_m = slope(SIZES, [r[1] for r in rows])
     s_p = slope(SIZES, [r[2] for r in rows])
-    sweep_s, prop_s, calls, med_n, med_m = bench_sweep()
+    xrows = [bench_crossover(k) for k in CROSSOVER_K]
+    (sweep_s, prop_s, calls, grid_calls, med_n, med_m,
+     profiles, starts, nn_calls) = bench_sweep()
     grows = [bench_scaling(n) for n in SCALING_N]
     s_t = slope([r[0] for r in grows], [r[1] for r in grows])
     s_h = slope([r[0] for r in grows], [r[2] for r in grows])
@@ -178,19 +233,42 @@ def main():
         for (n, tm, tp) in rows:
             fh.write(f"| {n} | {tm:.4f} | {tp:.4f} |\n")
         fh.write(f"\nLog-log slope over the full range: matching {s_m:.3f}, "
-                 f"propagation {s_p:.3f}.\n\n")
+                 f"propagation {s_p:.3f}. Every comb row takes the forest "
+                 f"path (n*m >= 10^6 > {oned._GRID_MAX_CELLS}).\n\n")
+        fh.write("## Propagation paths: vertex-grid sweep against forests\n\n")
+        fh.write("Wall time (best of 5, fresh curves) of the two exact paths of\n"
+                 "`propagate_reachability` on `gen_comb_1d(k, 7)` with n = m = k:\n"
+                 "the row sweep over the free vertex pairs (`_propagate_grid`)\n"
+                 "and the greedy forests (`_propagate_forests`). The sweep is\n"
+                 "taken up to n*m = `_GRID_MAX_CELLS` = %d.\n\n"
+                 % oned._GRID_MAX_CELLS)
+        fh.write("| n*m | grid sweep (ms) | forests (ms) | forests / sweep | path taken |\n")
+        fh.write("|---:|---:|---:|---:|---|\n")
+        for (nm, tg, tf, path) in xrows:
+            fh.write(f"| {nm} | {tg * 1e3:.3f} | {tf * 1e3:.3f} "
+                     f"| {tf / tg:.2f} | {path} |\n")
+        fh.write("\n")
         fh.write("## Far slabs on the sweep\n\n")
         fh.write("`approx_optimize` on sweep instances 0-%d (criterion 5's\n"
                  "generators, n+m <= 30) with eps cycling 0.5, 0.1, 0.05; each\n"
                  "instance is built fresh, and times are the best of %d runs.\n"
                  "The propagation time is spent inside\n"
                  "`propagate_reachability`, called once per anchor interval\n"
-                 "of every far-slab decision.\n\n" % (SWEEP - 1, REPS))
+                 "of every far-slab decision; the calls are split by the\n"
+                 "path they take.\n\n" % (SWEEP - 1, REPS))
         fh.write("| approx_optimize total (s) | propagate_reachability (s) "
-                 "| calls | median snapped size n × m |\n")
+                 "| calls (grid / forests) | median snapped size n × m |\n")
         fh.write("|---:|---:|---:|---:|\n")
-        fh.write(f"| {sweep_s:.3f} | {prop_s:.3f} | {calls} "
-                 f"| {med_n:g} × {med_m:g} |\n\n")
+        fh.write(f"| {sweep_s:.3f} | {prop_s:.3f} | {calls} ({grid_calls} / "
+                 f"{calls - grid_calls}) | {med_n:g} × {med_m:g} |\n\n")
+        fh.write("The same runs build %d nearest-neighbour profiles (both\n"
+                 "directions). Each queries the nearest point (`_nn_search`)\n"
+                 "at its source vertices and then at the split points of its\n"
+                 "brackets.\n\n" % profiles)
+        fh.write("| profiles | queries | at vertices | in brackets "
+                 "| queries per profile |\n|---:|---:|---:|---:|---:|\n")
+        fh.write(f"| {profiles} | {nn_calls} | {starts} | {nn_calls - starts} "
+                 f"| {nn_calls / max(profiles, 1):.1f} |\n\n")
         fh.write("## approx_optimize against n+m\n\n")
         fh.write("`approx_optimize` at eps 0.1 on `gen_simple(3, n, spikes=1)`,\n"
                  "built fresh for each of %d runs (best time kept). The\n"
@@ -223,6 +301,7 @@ def main():
                  f"{platform.system()} {platform.machine()}, single process.\n")
     print(f"wrote {os.path.normpath(out)} (comb slopes {s_m:.3f} / {s_p:.3f}, "
           f"sweep {sweep_s:.3f} s with {prop_s:.3f} s propagating, "
+          f"{nn_calls / max(profiles, 1):.1f} NN queries per profile, "
           f"approx_optimize slope {s_t:.3f}, "
           f"convex solve slope {s_s:.3f})")
 

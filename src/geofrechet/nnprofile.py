@@ -1,14 +1,27 @@
 """Nearest-neighbor profile of R onto B, near/far classification, slab
 partition with entrance/exit intervals, and nearest-neighbor fans.
 
-The profile starts from the source vertices and bisects an interval only
-while the nearest target edge differs at its two ends. A simple polygon
-with its geodesic metric is CAT(0), so along one source edge the distance
-to one target edge is convex and the nearest point on it moves
-continuously; the nearest point can only jump where the nearest edge
-changes. Bisection stops at width `_BP_TOL`, where the change is kept as
-a breakpoint unless the nearest point merely slid across the vertex
-shared by two adjacent edges.
+The profile starts from the source vertices and splits an interval (a
+bracket) only while the nearest target edge differs at its two ends. A
+simple polygon with its geodesic metric is CAT(0), so along one source
+edge the distance to one target edge is convex and the nearest point on
+it moves continuously; the nearest point can only jump where the nearest
+edge changes. A bracket is split only strictly inside, is dropped once
+its ends share the nearest edge, and stops at width `_BP_TOL`, where the
+change is kept as a breakpoint unless the nearest point merely slid
+across the vertex shared by two adjacent edges.
+
+The split point is not the midpoint but a regula-falsi estimate of the
+root of h = g_a - g_b, the difference of the distances to the nearest
+edges a and b at the two ends (see _split_point), so a bracket closes in a
+few queries instead of some 33 halvings. h is read off the values the
+nearest-point search already has: an edge's geodesic minimum where the
+search queried it, its Euclidean lower bound where it pruned it. Where h
+gives no estimate, as when one end sits on the vertex shared by a and b
+and h is 0 there, the split is the midpoint. The invariant above holds
+wherever a split lands, so a poor estimate costs queries only, and the
+split points move the breakpoints and the maximum only within the final
+bracket width.
 
 Nothing guards a nearest edge that leaves edge j for edge k and comes
 back to j inside one source edge, where both ends see j. It has not been
@@ -20,7 +33,7 @@ it (see NNProfile.max_value).
 The nearest point itself is found without querying every target edge: a
 geodesic is never shorter than the straight segment, so edges are taken
 in increasing order of their Euclidean distance and the search stops once
-that lower bound exceeds the best geodesic minimum found (see _nn_point).
+that lower bound exceeds the best geodesic minimum found (see _nn_search).
 """
 from __future__ import annotations
 
@@ -78,7 +91,7 @@ class NNProfile:
         interval whose ends have the same nearest edge j, the envelope
         min_k g_k is at most g_j, whose maximum there sits at an end, where
         the envelope equals g_j; so the interval adds nothing above its
-        ends. Intervals whose ends have nearest edges a != b are bisected
+        ends. Intervals whose ends have nearest edges a != b are split
         down to width _BP_TOL, where the build also evaluates g_a and g_b
         at the far ends and takes the smaller. This needs two conditions:
         every source vertex is a sample, so that each interval lies on one
@@ -136,7 +149,14 @@ def _seg_dist(px, py, seg) -> float:
 def _nn_point(inst, source, target, segs, x):
     """(global parameter on target, distance, target edge) of the nearest
     point; ties within 1e-12 go to the smaller parameter. `segs` is
-    `_segments(target)`.
+    `_segments(target)`."""
+    return _nn_search(inst, source, target, segs, x)[0]
+
+
+def _nn_search(inst, source, target, segs, x):
+    """_nn_point, and per target edge j (at j - 1) its geodesic minimum
+    where the search queried it and its Euclidean lower bound where it
+    pruned it.
 
     A geodesic is never shorter than the straight segment, so the
     Euclidean distance to an edge bounds its geodesic minimum from below.
@@ -148,22 +168,24 @@ def _nn_point(inst, source, target, segs, x):
     only through a chain of pairwise ties longer than the slack."""
     p = source.eval(x)
     if not segs:
-        return 1.0, get_engine(inst).distance(p, tuple(target.pts[0])), 1
+        return (1.0, get_engine(inst).distance(p, tuple(target.pts[0])), 1), []
     px, py = p
     found = []
     best = math.inf
-    for lb, j in sorted((_seg_dist(px, py, sg), j) for j, sg in enumerate(segs, 1)):
+    g = [_seg_dist(px, py, sg) for sg in segs]
+    for lb, j in sorted(zip(g, range(1, len(segs) + 1))):
         if lb * (1 - 1e-9) > best + 1e-12:
             break
         t, v = _edge_min(inst, p, segs[j - 1])
         found.append((j + t, v, j))
+        g[j - 1] = v
         best = min(best, v)
     out = None
     for cand in sorted(found, key=lambda c: c[2]):
         if out is None or cand[1] < out[1] - 1e-12 or \
                 (abs(cand[1] - out[1]) <= 1e-12 and cand[0] < out[0]):
             out = cand
-    return out
+    return out, g
 
 
 def _jumps(source, target, xa, xb, a, b) -> bool:
@@ -180,6 +202,29 @@ def _jumps(source, target, xa, xb, a, b) -> bool:
     return moved > 2 * math.dist(source.eval(xa), source.eval(xb))
 
 
+def _split_point(xa, xb, fa, fb, moved, stalls) -> float:
+    """Where to split the bracket [xa, xb] around the root of h = g_a - g_b,
+    given the (possibly scaled) values fa <= 0 <= fb of h at its ends.
+
+    Regula falsi, nudged by w = 0.4 * _BP_TOL past the root toward the end
+    that did not move last (moved: -1 left, 1 right, 0 neither) so that
+    the bracket closes from both sides, and clamped to w inside the
+    bracket. The midpoint after three splits that failed to halve the
+    width, or when h does not change sign."""
+    w = 0.4 * _BP_TOL
+    if stalls >= 3 or not fa < 0 < fb:
+        return 0.5 * (xa + xb)
+    x = xa + (xb - xa) * (fa / (fa - fb)) - moved * w
+    return min(max(x, xa + w), xb - w)
+
+
+def _ab_scale(fm, fp) -> float:
+    """Anderson-Bjorck factor for the value of an end kept twice in a row,
+    when the other end, of value fp, moved to a point of value fm."""
+    m = 1.0 - fm / fp if fp else 0.0
+    return m if m > 0 else 0.5
+
+
 def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
     n = source.n
     segs = _segments(target)
@@ -187,28 +232,47 @@ def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
         return NNProfile([], [(1.0, float(n), 1.0, float(target.n))], 0.0,
                          inst, source, target, segs)
     xs = [float(i) for i in range(1, n + 1)]
-    nns = [_nn_point(inst, source, target, segs, x) for x in xs]
+    nns, gs = zip(*(_nn_search(inst, source, target, segs, x) for x in xs))
     top = max(v for (_, v, _) in nns)
 
     breakpoints = []  # left to right
-    stack = [(xs[i], xs[i + 1], nns[i], nns[i + 1])
+    # (xa, xb, nearest at xa, nearest at xb, edge values at xa and at xb,
+    # end that moved last)
+    stack = [(xs[i], xs[i + 1], nns[i], nns[i + 1], gs[i], gs[i + 1], 0)
              for i in range(len(xs) - 1)][::-1]
     while stack:
-        xa, xb, a, b = stack.pop()
+        xa, xb, a, b, ga, gb, moved = stack.pop()
         if a[2] == b[2]:
             continue
-        if xb - xa <= _BP_TOL:
+        # h = g_a - g_b at the two ends, a pruned edge's value a lower bound
+        fa, fb = a[1] - ga[b[2] - 1], gb[a[2] - 1] - b[1]
+        stalls = 0
+        while xb - xa > _BP_TOL:
+            width = xb - xa
+            xm = _split_point(xa, xb, fa, fb, moved, stalls)
+            mid, gm = _nn_search(inst, source, target, segs, xm)
+            top = max(top, mid[1])
+            if mid[2] == a[2]:
+                fm = mid[1] - gm[b[2] - 1]
+                if moved == -1:  # the right end kept twice
+                    fb *= _ab_scale(fm, fa)
+                xa, a, ga, fa, moved = xm, mid, gm, fm, -1
+            elif mid[2] == b[2]:
+                fm = gm[a[2] - 1] - mid[1]
+                if moved == 1:  # the left end kept twice
+                    fa *= _ab_scale(fm, fb)
+                xb, b, gb, fb, moved = xm, mid, gm, fm, 1
+            else:
+                stack.append((xm, xb, mid, b, gm, gb, -1))
+                stack.append((xa, xm, a, mid, ga, gm, 1))
+                break
+            stalls = stalls + 1 if xb - xa > 0.5 * width else 0
+        else:
             # the envelope here lies below both edges' convex distances
             top = max(top, min(_edge_min(inst, source.eval(xb), segs[a[2] - 1])[1],
                                _edge_min(inst, source.eval(xa), segs[b[2] - 1])[1]))
             if _jumps(source, target, xa, xb, a, b):
                 breakpoints.append((0.5 * (xa + xb), a[0], b[0]))
-            continue
-        xm = 0.5 * (xa + xb)
-        mid = _nn_point(inst, source, target, segs, xm)
-        top = max(top, mid[1])
-        stack.append((xm, xb, mid, b))
-        stack.append((xa, xm, a, mid))
 
     ends = [(1.0, None, nns[0][0])] + breakpoints + [(float(n), nns[-1][0], None)]
     regimes = [(x0, x1, min(y0, y1), max(y0, y1))

@@ -6,6 +6,14 @@ A Curve1D lives strictly on one side of 0; the distance between a left
 point r and a right point b is |r| + |b|. Exact value ties are broken by a
 symbolic perturbation rank: key = (|value|, side, original index),
 lexicographically smaller meaning closer to 0.
+
+Reachability propagation has two exact paths. Small grids, such as the
+snapped curves of far slabs, are swept vertex by vertex: |r| and |b| are
+linear on each edge, so a monotone free path snapped to the end of each
+edge with the smaller value is a free staircase of vertices with unit and
+diagonal steps (see _propagate_grid). Grids above `_GRID_MAX_CELLS`
+vertex pairs take the near-linear greedy forests of Bringmann and
+Kuennemann, generalized to many seeds (see _propagate_forests).
 """
 from __future__ import annotations
 
@@ -236,28 +244,31 @@ class CurveIndex:
         p, q = i - 1, j - (1 << k)
         return int(a[p] + 1) if r[p] <= r[q] else int(a[q] + 1)
 
-    def last_below(self, x: int, U: float) -> Optional[int]:
-        """Largest x' >= x with max over [x, x'] <= U; None if A(x) > U."""
-        if self.curve.a(x) > U:
+    def last_below(self, x: int, U: float, v: float = 0.0) -> Optional[int]:
+        """Largest x' >= x with max over [x, x'] + v <= U; None if
+        A(x) + v > U. The sum is compared, not A with U - v, so that the
+        test is the free-space test A + B <= delta itself."""
+        if self.curve.a(x) + v > U:
             return None
-        lo, hi = x, self.n
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.range_max(x, mid) <= U:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        # binary lifting: level k extends the run by 2**k when the block
+        # past its end fits, one lookup per level
+        last = x  # 1-based end of the run so far, = 0-based start past it
+        for k in range(len(self._maxt) - 1, -1, -1):
+            t = self._maxt[k]
+            if last < t.size and t[last] + v <= U:
+                last += 1 << k
+        return last
 
-    def first_below(self, i: int, j: int, U: float) -> Optional[int]:
-        """First index in [i,j] with A <= U, or None."""
+    def first_below(self, i: int, j: int, U: float,
+                    v: float = 0.0) -> Optional[int]:
+        """First index in [i,j] with A + v <= U, or None."""
         self._check(i, j)
-        if self.range_min(i, j) > U:
+        if self.range_min(i, j) + v > U:
             return None
         lo, hi = i, j
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.range_min(i, mid) <= U:
+            if self.range_min(i, mid) + v <= U:
                 hi = mid
             else:
                 lo = mid + 1
@@ -277,15 +288,15 @@ def _hstep(r: Curve1D, b: Curve1D, i: int, j: int,
     """One horizontal-preferring greedy step from free vertex pair (i,j)."""
     ri, bi = r.index, b.index
     i2 = ri.next_smaller(i)
-    slack_h = delta - b.a(j)
-    if i2 is not None and ri.range_max(i, i2) <= slack_h:
-        i1 = ri.last_below(i, slack_h)
+    bj = b.a(j)
+    if i2 is not None and ri.range_max(i, i2) + bj <= delta:
+        i1 = ri.last_below(i, delta, bj)
         return (ri.range_argmin(i, i1), j)
-    j_hat = bi.last_below(j, delta - r.a(i))
+    j_hat = bi.last_below(j, delta, r.a(i))
     if j_hat is None:
         raise ValueError(f"point ({i},{j}) outside free space")
     if i2 is not None:
-        jp = bi.first_below(j, b.n, delta - ri.range_max(i, i2))
+        jp = bi.first_below(j, b.n, delta, ri.range_max(i, i2))
         if jp is not None and jp <= j_hat:
             return (i, jp) if jp != j else None
     j_star = bi.range_argmin(j, j_hat)
@@ -402,8 +413,9 @@ def _forest(r: Curve1D, b: Curve1D, delta: float, seeds,
     for v in roots:
         # the free run from the root along the curve the orientation moves on
         i, j = int(v[0]), int(v[1])
-        c, k, U = (r, i, delta - b.a(j)) if hor else (b, j, delta - r.a(i))
-        k1 = c.index.last_below(k, U)
+        c, k, other = (r, i, b.a(j)) if hor else (b, j, r.a(i))
+        k1 = c.index.last_below(k, delta, other)
+        U = delta - other
         end = float(k1)
         if k1 < c.n:
             a0, a1 = c.a(k1), c.a(k1 + 1)
@@ -513,12 +525,11 @@ def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
                            S: list[GridPoint], E: list[GridPoint]) -> list[GridPoint]:
     """All points of E that are delta-reachable from some point of S.
 
-    Builds the extended horizontal- and vertical-greedy forests of S (red)
-    and of E on the reversed curves (blue). Each blue segment is owned by
-    one vertex: an edge by its child end, an extension by its root. The
-    owners whose segment touches a red segment are marked (one-sided: red
-    is never marked), and an E point is reachable when a vertex on its
-    reverse path, in either blue forest, is marked.
+    Up to `_GRID_MAX_CELLS` vertex pairs this is the O(n*m) vertex-grid
+    sweep of `_propagate_grid`, exact because a monotone free path snaps
+    to a staircase of free vertices; above it, the near-linear greedy
+    forests of `_propagate_forests`. Both return the same points, so the
+    crossover only moves time.
     """
     S = [GridPoint(*p) for p in S]
     E = [GridPoint(*p) for p in E]
@@ -529,6 +540,64 @@ def propagate_reachability(r: Curve1D, b: Curve1D, delta: float,
             raise ValueError(f"point {tuple(p)} outside free space")
     if not S or not E:
         return []
+    if r.n * b.n <= _GRID_MAX_CELLS:
+        return _propagate_grid(r, b, delta, S, E)
+    return _propagate_forests(r, b, delta, S, E)
+
+
+# Largest n*m that propagate_reachability sweeps vertex by vertex. On
+# gen_comb_1d curves (n = m; a 2-CPU x86_64 host, Python 3.11) the sweep
+# took 0.55 ms against 1.33 ms for the forests at 2^18 cells and 1.89 ms
+# against 2.23 ms at 2^20, and lost at 2^21, 3.5 ms against 2.9 ms
+# (scripts/benchmark.py tabulates this in docs/benchmark.md). The sweep's
+# time follows n*m whatever the instance and the forests' time does not,
+# so the bound sits a factor 4-8 below the crossing. Criterion 8's combs
+# (10^6 cells and up) keep the forests.
+_GRID_MAX_CELLS = 1 << 18
+
+
+def _propagate_grid(r: Curve1D, b: Curve1D, delta: float,
+                    S: list[GridPoint], E: list[GridPoint]) -> list[GridPoint]:
+    """propagate_reachability by a row sweep over the free vertex pairs.
+
+    A vertex pair (i, j) is free when A(i) + B(j) <= delta and reached
+    when it is free and is a source or has a reached free neighbour
+    (i-1, j), (i, j-1) or (i-1, j-1). This is exact: |r| and |b| are
+    linear on each edge, so snapping every point of a monotone free path
+    to the end of its edge with the smaller value keeps it free and
+    yields a monotone staircase of free vertices with unit and diagonal
+    steps; conversely the sum is linear along such a step, so a step
+    between free vertices is free. Each row is a bit mask over j; a
+    seed propagates to the end of its run of free bits by one carry.
+    """
+    masks = np.packbits((r.A[:, None] + b.A[None, :]) <= delta, axis=1,
+                        bitorder="little")
+    src = [0] * r.n
+    for p in S:
+        src[p.i - 1] |= 1 << (p.j - 1)
+    rows = []
+    prev = 0
+    for i in range(r.n):
+        free = int.from_bytes(masks[i].tobytes(), "little")
+        seed = free & (src[i] | prev | prev << 1)
+        # adding the seeds carries through the rest of each seeded run
+        prev = (free & ~(free + seed)) | seed
+        rows.append(prev)
+    return sorted({e for e in E if rows[e.i - 1] >> (e.j - 1) & 1})
+
+
+def _propagate_forests(r: Curve1D, b: Curve1D, delta: float,
+                       S: list[GridPoint], E: list[GridPoint]) -> list[GridPoint]:
+    """propagate_reachability by greedy forests, for checked non-empty S
+    and E.
+
+    Builds the extended horizontal- and vertical-greedy forests of S (red)
+    and of E on the reversed curves (blue). Each blue segment is owned by
+    one vertex: an edge by its child end, an extension by its root. The
+    owners whose segment touches a red segment are marked (one-sided: red
+    is never marked), and an E point is reachable when a vertex on its
+    reverse path, in either blue forest, is marked.
+    """
     red = []
     for o in ("horizontal", "vertical"):
         f = _forest(r, b, delta, S, o)

@@ -151,22 +151,63 @@ def segment_profile_bisect(inst, src, a, b) -> SegmentProfile:
     return SegmentProfile([tuple(pc) for pc in merged], a, b)
 
 
-def nn_point_reference(inst, source, target, x):
-    """nnprofile._nn_point by a scan over every target edge: (global
-    parameter on target, distance, target edge) of the nearest point,
-    ties within 1e-12 to the smaller parameter."""
+def nn_search_reference(inst, source, target, x):
+    """nnprofile._nn_search by a scan over every target edge: the nearest
+    point (global parameter on target, distance, target edge), ties within
+    1e-12 to the smaller parameter, and every edge's geodesic minimum."""
     eng = get_engine(inst)
     p = source.eval(x)
     if target.n == 1:
-        return 1.0, eng.distance(p, tuple(target.pts[0])), 1
+        return (1.0, eng.distance(p, tuple(target.pts[0])), 1), []
     best = None
+    minima = []
     for j in range(1, target.n):
         t, v = eng.segment_profile(p, target.pts[j - 1], target.pts[j]).minimum()
+        minima.append(v)
         cand = (j + t, v, j)
         if best is None or cand[1] < best[1] - 1e-12 or \
                 (abs(cand[1] - best[1]) <= 1e-12 and cand[0] < best[0]):
             best = cand
-    return best
+    return best, minima
+
+
+def nn_point_reference(inst, source, target, x):
+    """nnprofile._nn_point by a scan over every target edge."""
+    return nn_search_reference(inst, source, target, x)[0]
+
+
+def nn_profile_bisect(inst, source, target):
+    """nnprofile._build_profile with midpoint bisection: an interval whose
+    ends have different nearest edges is halved down to width _BP_TOL."""
+    from geofrechet import nnprofile as nnp
+    n = source.n
+    segs = nnp._segments(target)
+    xs = [float(i) for i in range(1, n + 1)]
+    nns = [nnp._nn_point(inst, source, target, segs, x) for x in xs]
+    top = max(v for (_, v, _) in nns)
+    breakpoints = []
+    stack = [(xs[i], xs[i + 1], nns[i], nns[i + 1])
+             for i in range(len(xs) - 1)][::-1]
+    while stack:
+        xa, xb, a, b = stack.pop()
+        if a[2] == b[2]:
+            continue
+        if xb - xa <= nnp._BP_TOL:
+            top = max(top, min(
+                nnp._edge_min(inst, source.eval(xb), segs[a[2] - 1])[1],
+                nnp._edge_min(inst, source.eval(xa), segs[b[2] - 1])[1]))
+            if nnp._jumps(source, target, xa, xb, a, b):
+                breakpoints.append((0.5 * (xa + xb), a[0], b[0]))
+            continue
+        xm = 0.5 * (xa + xb)
+        mid = nnp._nn_point(inst, source, target, segs, xm)
+        top = max(top, mid[1])
+        stack.append((xm, xb, mid, b))
+        stack.append((xa, xm, a, mid))
+    ends = [(1.0, None, nns[0][0])] + breakpoints + [(float(n), nns[-1][0], None)]
+    regimes = [(x0, x1, min(y0, y1), max(y0, y1))
+               for (x0, _, y0), (x1, y1, _) in zip(ends, ends[1:])]
+    return nnp.NNProfile(breakpoints, regimes, top, inst, source, target, segs)
 
 
 def param_on_curve_reference(curve, p, tol: float = 1e-7):

@@ -12,7 +12,8 @@ from geofrechet import nnprofile
 from geofrechet.nnprofile import (EmptyFanLeaf, build_slabs, fan_leaf,
                                   nn_profile, nn_profile_reverse)
 from geofrechet.oracle import frechet_bisect
-from helpers import max_value_reference, nn_point_reference, random_instance
+from helpers import (max_value_reference, nn_point_reference,
+                     nn_profile_bisect, nn_search_reference, random_instance)
 
 
 def dense_nn(inst, x, samples=400):
@@ -219,6 +220,20 @@ def test_nn_point_matches_full_scan(make, seed):
                 nn_point_reference(inst, source, target, x)
 
 
+@pytest.mark.parametrize("make", GENERATORS,
+                         ids=["pocket", "spikes1", "spikes2", "convex"])
+def test_nn_search_edge_values(make):
+    """The search's value for each target edge is the edge's geodesic
+    minimum, or a lower bound of it where the edge was pruned."""
+    inst = make(0)
+    segs = nnprofile._segments(inst.B)
+    for x in [i + k / 4 for i in range(1, inst.R.n) for k in range(4)]:
+        near, g = nnprofile._nn_search(inst, inst.R, inst.B, segs, x)
+        ref, minima = nn_search_reference(inst, inst.R, inst.B, x)
+        assert near == ref and g[near[2] - 1] == near[1]
+        assert all(v <= m * (1 + 1e-12) for v, m in zip(g, minima))
+
+
 @pytest.mark.parametrize("make", GENERATORS + [lambda s: random_instance(s + 20)],
                          ids=["pocket", "spikes1", "spikes2", "convex", "random"])
 @pytest.mark.parametrize("seed", range(3))
@@ -289,11 +304,47 @@ def test_nn_profile_prunes_edge_queries(monkeypatch):
     (981 against 10,493 segment profiles when this test was written)."""
     pruned = _count_profile_calls(monkeypatch, gen_simple(0, 48, spikes=1))
     monkeypatch.setattr(
-        nnprofile, "_nn_point",
+        nnprofile, "_nn_search",
         lambda inst, source, target, segs, x:
-            nn_point_reference(inst, source, target, x))
+            nn_search_reference(inst, source, target, x))
     full = _count_profile_calls(monkeypatch, gen_simple(0, 48, spikes=1))
     assert pruned < full / 4
+
+
+@pytest.mark.parametrize("make", GENERATORS,
+                         ids=["pocket", "spikes1", "spikes2", "convex"])
+@pytest.mark.parametrize("seed", range(3))
+def test_split_points_match_bisection(make, seed):
+    """Interpolated split points find the breakpoints of midpoint
+    bisection: the same count, positions within 2 * _BP_TOL and `top`
+    within 1e-10 relative, in both directions."""
+    inst = make(seed)
+    for source, target in ((inst.R, inst.B), (inst.B, inst.R)):
+        got = nnprofile._build_profile(inst, source, target)
+        ref = nn_profile_bisect(inst, source, target)
+        assert len(got.breakpoints) == len(ref.breakpoints)
+        for (x, _, _), (xr, _, _) in zip(got.breakpoints, ref.breakpoints):
+            assert abs(x - xr) <= 2 * nnprofile._BP_TOL
+        assert got.top == pytest.approx(ref.top, rel=1e-10, abs=0)
+
+
+def test_split_points_halve_nn_queries(monkeypatch):
+    """On a spiked instance the build makes at most half the nearest-point
+    queries of midpoint bisection (88 against 216 when this test was
+    written)."""
+    inst = gen_simple(0, 40, spikes=2)
+    calls = [0]
+    inner = nnprofile._nn_search
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(nnprofile, "_nn_search", counted)
+    nnprofile._build_profile(inst, inst.R, inst.B)
+    built, calls[0] = calls[0], 0
+    nn_profile_bisect(inst, inst.R, inst.B)
+    assert 2 * built <= calls[0]
 
 
 def test_x_for_target_stops_where_floats_run_out():

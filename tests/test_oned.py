@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geofrechet.generators import gen_random_1d
+from geofrechet import oned
+from geofrechet.generators import gen_comb_1d, gen_random_1d
 from geofrechet.oned import (Curve1D, GridPoint, bichromatic_intersections,
                              build_greedy_forest, closest_pair_1d,
                              frechet_matching_1d, greedy_step, prefix_minima,
@@ -126,6 +129,32 @@ def test_curve_index_vs_scans():
             wantn = next((k for k in range(i + 1, n + 1)
                           if c.key(k) < c.key(i)), None)
             assert idx.next_smaller(i) == wantn
+
+
+# values with frequent exact ties
+tied_values = st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                                 st.floats(min_value=0.1, max_value=10.0)),
+                       min_size=1, max_size=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_values, st.data())
+def test_last_below_matches_scan(vals, data):
+    """The sparse-table descent finds the end of the run of A + v <= U
+    that a linear scan finds, with U on a sum (a tie) or between sums and
+    x up to n."""
+    c = Curve1D([-a for a in vals])
+    n = c.n
+    x = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    v = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+    U = data.draw(st.one_of(st.sampled_from(vals).map(lambda a: a + v),
+                            st.floats(min_value=0.0, max_value=11.0)))
+    want = None
+    if vals[x - 1] + v <= U:
+        want = x
+        while want < n and vals[want] + v <= U:
+            want += 1
+    assert c.index.last_below(x, U, v) == want
 
 
 def test_greedy_step_terminal_and_errors():
@@ -328,3 +357,38 @@ def test_propagate_vs_bruteforce(seed):
     got = sorted(map(tuple, propagate_reachability(r, b, delta, S, E)))
     want = sorted(map(tuple, reachable_points_bruteforce(r, b, delta, S, E)))
     assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_values, tied_values, st.data())
+def test_grid_and_forests_match_bruteforce(rv, bv, data):
+    """The vertex-grid sweep and the greedy forests return the same points
+    as the interval DP, with unsorted, repeated and shared S and E points."""
+    r, b = Curve1D([-v for v in rv]), Curve1D(bv)
+    delta = data.draw(st.sampled_from([r.a(i) + b.a(j) for i in range(1, r.n + 1)
+                                       for j in range(1, b.n + 1)]))
+    delta += data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+    free = [GridPoint(i, j) for i in range(1, r.n + 1)
+            for j in range(1, b.n + 1) if r.a(i) + b.a(j) <= delta]
+    pick = st.lists(st.sampled_from(free), min_size=1, max_size=8)
+    S = data.draw(pick)
+    E = data.draw(pick) + data.draw(st.lists(st.sampled_from(S), max_size=2))
+    want = sorted(map(tuple, reachable_points_bruteforce(r, b, delta, S, E)))
+    for path in (oned._propagate_grid, oned._propagate_forests):
+        got = path(Curve1D(r.values), Curve1D(b.values), delta, S, E)
+        assert sorted(map(tuple, got)) == want, path.__name__
+
+
+def test_propagation_path_by_size(monkeypatch):
+    """Criterion 8's smallest comb (10^6 vertex pairs) takes the forests;
+    a far-slab-sized instance takes the vertex-grid sweep."""
+    taken = []
+    for name in ("_propagate_grid", "_propagate_forests"):
+        inner = getattr(oned, name)
+        monkeypatch.setattr(oned, name, lambda *a, inner=inner, name=name:
+                            taken.append(name) or inner(*a))
+    r, b, delta, S, E = gen_comb_1d(1000, 7)
+    propagate_reachability(r, b, delta, S, E)
+    r, b, delta, S, E = gen_comb_1d(20, 7)
+    propagate_reachability(r, b, delta, S, E)
+    assert taken == ["_propagate_forests", "_propagate_grid"]
