@@ -81,14 +81,31 @@ def bench_sweep():
     """approx_optimize over the first sweep instances with the sweep's eps
     cycle: (total s, s inside propagate_reachability, propagation calls,
     grid-path calls, median n, median m of the snapped curves, NN
-    profiles, their vertex starts, their nearest-point queries), times
-    best of REPS, counts from the last run."""
+    profiles, their vertex starts, their nearest-point queries, far_decide
+    calls, gate sets built, rays shot), times best of REPS, counts from
+    the last run."""
     inner = farslab.propagate_reachability
     sizes = []
     spent = [0.0]
-    counts = {"grid": 0, "nn": 0, "profiles": 0, "starts": 0}
+    counts = {"grid": 0, "nn": 0, "profiles": 0, "starts": 0, "decide": 0,
+              "gates": 0, "rays": 0}
     grid, nn_search, build = (oned._propagate_grid, nnprofile._nn_search,
                               nnprofile._build_profile)
+    decide, gates, ray = (farslab.far_decide, farslab.build_gate_sets,
+                          farslab._ray_hit)
+
+    def counted_decide(*a):
+        counts["decide"] += 1
+        return decide(*a)
+
+    def counted_gates(*a):
+        out = gates(*a)
+        counts["gates"] += len(out)
+        return out
+
+    def counted_ray(*a):
+        counts["rays"] += 1
+        return ray(*a)
 
     def counted_grid(*a):
         counts["grid"] += 1
@@ -114,6 +131,9 @@ def bench_sweep():
     oned._propagate_grid = counted_grid
     nnprofile._nn_search = counted_nn
     nnprofile._build_profile = counted_build
+    farslab.far_decide = counted_decide
+    farslab.build_gate_sets = counted_gates
+    farslab._ray_hit = counted_ray
     best_total = best_prop = math.inf
     try:
         for _ in range(REPS):
@@ -132,10 +152,14 @@ def bench_sweep():
         oned._propagate_grid = grid
         nnprofile._nn_search = nn_search
         nnprofile._build_profile = build
+        farslab.far_decide = decide
+        farslab.build_gate_sets = gates
+        farslab._ray_hit = ray
     return (best_total, best_prop, len(sizes), counts["grid"],
             statistics.median(n for n, _ in sizes),
             statistics.median(m for _, m in sizes),
-            counts["profiles"], counts["starts"], counts["nn"])
+            counts["profiles"], counts["starts"], counts["nn"],
+            counts["decide"], counts["gates"], counts["rays"])
 
 
 def bench_scaling(n):
@@ -211,7 +235,7 @@ def main():
     s_p = slope(SIZES, [r[2] for r in rows])
     xrows = [bench_crossover(k) for k in CROSSOVER_K]
     (sweep_s, prop_s, calls, grid_calls, med_n, med_m,
-     profiles, starts, nn_calls) = bench_sweep()
+     profiles, starts, nn_calls, decides, gate_sets, rays) = bench_sweep()
     grows = [bench_scaling(n) for n in SCALING_N]
     s_t = slope([r[0] for r in grows], [r[1] for r in grows])
     s_h = slope([r[0] for r in grows], [r[2] for r in grows])
@@ -254,13 +278,18 @@ def main():
                  "instance is built fresh, and times are the best of %d runs.\n"
                  "The propagation time is spent inside\n"
                  "`propagate_reachability`, called once per anchor interval\n"
-                 "of every far-slab decision; the calls are split by the\n"
-                 "path they take.\n\n" % (SWEEP - 1, REPS))
+                 "that a far-slab decision (`far_decide`) enters; the calls\n"
+                 "are split by the path they take. Each interval but the\n"
+                 "last first builds the gate set of the anchor at its far\n"
+                 "end, shooting at most one ray per gate candidate.\n\n"
+                 % (SWEEP - 1, REPS))
         fh.write("| approx_optimize total (s) | propagate_reachability (s) "
-                 "| calls (grid / forests) | median snapped size n × m |\n")
-        fh.write("|---:|---:|---:|---:|\n")
+                 "| calls (grid / forests) | median snapped size n × m "
+                 "| far_decide calls | gate sets | rays |\n")
+        fh.write("|---:|---:|---:|---:|---:|---:|---:|\n")
         fh.write(f"| {sweep_s:.3f} | {prop_s:.3f} | {calls} ({grid_calls} / "
-                 f"{calls - grid_calls}) | {med_n:g} × {med_m:g} |\n\n")
+                 f"{calls - grid_calls}) | {med_n:g} × {med_m:g} "
+                 f"| {decides} | {gate_sets} | {rays} |\n\n")
         fh.write("The same runs build %d nearest-neighbour profiles (both\n"
                  "directions). Each queries the nearest point (`_nn_search`)\n"
                  "at its source vertices and then at the split points of its\n"

@@ -32,6 +32,7 @@ from .geometry import MatchingPath, ParamPoint, Point2, PolygonInstance, boundar
 from .geodesic import get_engine
 
 _TOL = 1e-9
+_ON_CURVE_TOL = 1e-7  # a point this close to a curve edge lies on it
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def _seg_seg_closest(a0, a1, b0, b1):
     return best
 
 
-def _param_between(curve, pt, p0, p1, tol=1e-7):
+def _param_between(curve, pt, p0, p1):
     """Parameter of a point lying on the curve between the vertices with
     parameters p0 and p1, or None."""
     if p0 == p1:
@@ -71,12 +72,12 @@ def _param_between(curve, pt, p0, p1, tol=1e-7):
         dx, dy = b[0] - a[0], b[1] - a[1]
         L2 = dx * dx + dy * dy
         if L2 == 0:
-            if math.hypot(pt[0] - a[0], pt[1] - a[1]) <= tol:
+            if math.hypot(pt[0] - a[0], pt[1] - a[1]) <= _ON_CURVE_TOL:
                 return float(i)
             continue
         t = ((pt[0] - a[0]) * dx + (pt[1] - a[1]) * dy) / L2
         t = min(max(t, 0.0), 1.0)
-        if math.hypot(pt[0] - a[0] - t * dx, pt[1] - a[1] - t * dy) <= tol:
+        if math.hypot(pt[0] - a[0] - t * dx, pt[1] - a[1] - t * dy) <= _ON_CURVE_TOL:
             return i + t
     return None
 

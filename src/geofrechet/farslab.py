@@ -4,8 +4,10 @@ Inside a far slab every matched pair is joined by a geodesic crossing the
 separator between the slab's bounding B-vertices. Distances are snapped to
 sums through evenly spaced anchor points on the separator, which turns the
 2D decision into a chain of 1D separated-curve propagations between gate
-sets. Snapped sums always dominate true geodesic distances, so a YES
-answer certifies a valid matching at the inflated threshold.
+sets. The chain is walked once, and each anchor's gate set is built only
+when the propagation reaches that anchor. Snapped sums always dominate
+true geodesic distances, so a YES answer certifies a valid matching at
+the inflated threshold.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .nnprofile import Slab
 
 _NUDGE = 1e-9
 _EPS_CLAMP = 1e-12
+_HIT_TOL = 1e-7  # a ray hit farther than this from a curve misses it
 
 
 @dataclass
@@ -85,7 +88,7 @@ class _HitParams:
     vertices of the segment (a subcurve's interior vertices are boundary
     vertices) and on the first and last edge, whose outer ends may lie
     inside the segment. Another edge could hold the hit only if two
-    boundary edges without a common vertex came within tol."""
+    boundary edges without a common vertex came within _HIT_TOL."""
 
     def __init__(self, inst: PolygonInstance, curve: PolyCurve):
         self.bd = [tuple(v) for v in inst.boundary.tolist()]
@@ -94,10 +97,10 @@ class _HitParams:
         for i, v in enumerate(self.pts, 1):
             self.index.setdefault(tuple(v), []).append(i)
 
-    def param(self, p, k: int, tol: float = 1e-7):
+    def param(self, p, k: int):
         """Curve parameter of the point p of boundary segment k, or None if
-        p is not within tol of the curve (the nearest edge wins, then the
-        first)."""
+        p is not within _HIT_TOL of the curve (the nearest edge wins, then
+        the first)."""
         n = len(self.pts)
         last = max(n - 1, 1)
         edges = {1, last}
@@ -117,7 +120,7 @@ class _HitParams:
             else:
                 t = min(max(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / L2, 0.0), 1.0)
             d = math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
-            if d <= tol and (best is None or d < best[1]):
+            if d <= _HIT_TOL and (best is None or d < best[1]):
                 best = (min(i + t, float(n)), d)
         return None if best is None else best[0]
 
@@ -156,43 +159,30 @@ def build_gate_sets(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
                     anchorset: AnchorSet) -> list[GateSet]:
     """Gate pairs for the interior anchors: each candidate point on one
     curve is paired with the ray extension of its geodesic through the
-    anchor onto the other curve."""
+    anchor onto the other curve. `far_decide` builds them one anchor at a
+    time, as its propagation reaches each anchor."""
     eng = get_engine(inst)
-    rhits, bhits = _HitParams(inst, Rhat), _HitParams(inst, Bhat)
+    curves = (Rhat, Bhat)
+    hits = (_HitParams(inst, Rhat), _HitParams(inst, Bhat))
     out = []
     for a in anchorset.anchors[1:-1]:
-        pts = []
-        seen = set()
-
-        def add(x, y):
-            key = (round(x, 9), round(y, 9))
-            if key not in seen:
-                seen.add(key)
-                pts.append(ParamPoint(float(x), float(y)))
-
-        rc = _gate_candidates(inst, eng, Rhat, a)
-        bc = _gate_candidates(inst, eng, Bhat, a)
-        for x in rc:
-            p = Rhat.eval(x)
-            if eng.distance(tuple(p), tuple(a)) <= 1e-9:
-                # the anchor sits on R itself: the crossing column is free,
-                # pair it with every candidate row
-                for y in bc:
-                    add(x, y)
-                continue
-            y = _extend_through(inst, eng, p, a, bhits)
-            if y is not None:
-                add(x, y)
-        for y in bc:
-            q = Bhat.eval(y)
-            if eng.distance(tuple(q), tuple(a)) <= 1e-9:
-                for x in rc:
-                    add(x, y)
-                continue
-            x = _extend_through(inst, eng, q, a, rhits)
-            if x is not None:
-                add(x, y)
-        out.append(GateSet(a, pts))
+        cands = [_gate_candidates(inst, eng, c, a) for c in curves]
+        pts = {}  # rounded (x, y) -> ParamPoint, in first-seen order
+        for side in (0, 1):
+            for s in cands[side]:
+                p = curves[side].eval(s)
+                if eng.distance(tuple(p), tuple(a)) <= 1e-9:
+                    # the anchor sits on this curve itself: the crossing
+                    # line is free, pair it with every candidate opposite
+                    others = cands[1 - side]
+                else:
+                    t = _extend_through(inst, eng, p, a, hits[1 - side])
+                    others = () if t is None else (t,)
+                for t in others:
+                    x, y = (s, t) if side == 0 else (t, s)
+                    pts.setdefault((round(x, 9), round(y, 9)),
+                                   ParamPoint(float(x), float(y)))
+        out.append(GateSet(a, list(pts.values())))
     return out
 
 
@@ -287,24 +277,27 @@ def far_decide(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
                delta: float, eps: float) -> bool:
     """Can a bimonotone matching of Rhat to Bhat stay within (1+eps)*delta,
     assuming every matched geodesic crosses the Bhat-endpoint separator?
-
     YES answers are sound at (1+eps)*delta; NO answers are reliable for
     true cost above delta.
-    """
+
+    Interval k of the K anchor intervals propagates in the snapped space
+    of its midpoint to the gate set of anchor k+1, built as the interval
+    starts (the last interval reaches the end corner instead), so a
+    decision that stops in interval k builds k+1 gate sets."""
     anch = build_separator_anchors(inst, Bhat.pts[0], Bhat.pts[-1], delta, eps)
     if anch is None:
         return False
     thr = (1 + eps) * delta
-    K = anch.K
-    mids = [Point2(0.5 * (anch.anchors[k][0] + anch.anchors[k + 1][0]),
-                   0.5 * (anch.anchors[k][1] + anch.anchors[k + 1][1]))
-            for k in range(K)]
-    gates = build_gate_sets(inst, Rhat, Bhat, anch)
-    seq = ([[ParamPoint(1.0, 1.0)]] + [g.points for g in gates] +
-           [[ParamPoint(float(Rhat.n), float(Bhat.n))]])
-    cur = seq[0]
-    for k in range(K):
-        cur = _propagate_space(inst, Rhat, Bhat, mids[k], cur, seq[k + 1], thr)
+    A = anch.anchors
+    cur = [ParamPoint(1.0, 1.0)]
+    for k in range(anch.K):
+        if k + 1 < anch.K:
+            window = AnchorSet(anch.separator, A[k:k + 3], 2)
+            targets = build_gate_sets(inst, Rhat, Bhat, window)[0].points
+        else:
+            targets = [ParamPoint(float(Rhat.n), float(Bhat.n))]
+        mid = Point2(0.5 * (A[k][0] + A[k + 1][0]), 0.5 * (A[k][1] + A[k + 1][1]))
+        cur = _propagate_space(inst, Rhat, Bhat, mid, cur, targets, thr)
         if not cur:
             return False
     return True
@@ -313,8 +306,11 @@ def far_decide(inst: PolygonInstance, Rhat: PolyCurve, Bhat: PolyCurve,
 def far_find_exit(inst: PolygonInstance, slab: Slab, entrance: TransitPoint,
                   delta: float, eps: float):
     """Leftmost transit exit of a far slab reachable from the entrance at
-    threshold (1+eps)*delta, found by exponential then binary search over
-    the candidate exits; None when the slab cannot be crossed."""
+    threshold (1+eps)*delta; None when the slab cannot be crossed.
+    Reachability is monotone in the candidate index: the probes are 0, 1,
+    2, 4, ... (powers of 2 up to the last index), then the last index,
+    then a bisection between the last failing and the first passing
+    probe, so no index is probed twice."""
     if slab.kind != "far":
         raise ValueError("far_find_exit requires a far slab")
     x0 = entrance.point.x
@@ -323,31 +319,17 @@ def far_find_exit(inst: PolygonInstance, slab: Slab, entrance: TransitPoint,
     if not cands:
         return None
     Bhat = inst.B.subcurve(slab.y_lo, slab.y_hi)
-    memo = {}
 
     def ok(k):
-        if k not in memo:
-            x1 = max(cands[k].point.x, x0)
-            Rhat = inst.R.subcurve(x0, x1)
-            memo[k] = far_decide(inst, Rhat, Bhat, delta, eps)
-        return memo[k]
+        Rhat = inst.R.subcurve(x0, max(cands[k].point.x, x0))
+        return far_decide(inst, Rhat, Bhat, delta, eps)
 
     last = len(cands) - 1
-    if ok(0):
-        return cands[0]
-    step = 1
-    lo = 0  # largest known failing index
-    hi = None
-    while step <= last:
-        if ok(step):
-            hi = step
-            break
-        lo = step
-        step *= 2
-    if hi is None:
-        if lo >= last or not ok(last):
+    lo, hi = -1, 0  # the last failing probe, the next probe
+    while not ok(hi):
+        if hi == last:
             return None
-        hi = last
+        lo, hi = hi, min(max(2 * hi, 1), last)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):

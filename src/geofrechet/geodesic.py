@@ -8,7 +8,12 @@ segment when the two points see each other. Convex and degenerate
 polygons skip the sleeve.
 
 Point location validates every input: it raises ValueError for a point
-outside the polygon, so no query scans the boundary beforehand. Each
+outside the polygon, so no query scans the boundary beforehand. A point
+is in a triangle when no corner turn toward it is clockwise by more than
+LOC_TOL * M * E, with M the largest |coordinate| on the boundary and E
+its extent: rounding moves a computed point by about 1e-16 * M, and a
+turn multiplies that by an edge no longer than E. Location thus scales
+with the polygon, and a translation widens it only in proportion. Each
 engine keeps one cache, keyed on the exact float coordinates of the
 query, for point locations, paths, distances and segment profiles; a
 point is therefore located by a scan over the triangles only the first
@@ -29,6 +34,8 @@ from .geometry import PolygonInstance, PolyCurve, Point2, orient
 PAR_TOL = 1e-10
 DIST_TOL = 1e-9
 SLACK = 1e-9
+BETWEEN_TOL = 1e-9  # funnel: slack of the collinear "b between a and c"
+LOC_TOL = 1e-12  # point location, relative; see the module docstring
 
 
 @dataclass
@@ -37,11 +44,11 @@ class GeodesicPath:
     length: float
 
 
-def _is_between(a, b, c, tol=1e-9) -> bool:
+def _is_between(a, b, c) -> bool:
     """b on segment a-c (collinearity assumed by the caller)."""
     dax, day = b[0] - a[0], b[1] - a[1]
     dcx, dcy = c[0] - b[0], c[1] - b[1]
-    return dax * dcx + day * dcy >= -tol
+    return dax * dcx + day * dcy >= -BETWEEN_TOL
 
 
 def _triarea2(a, b, c) -> float:
@@ -223,6 +230,8 @@ class GeodesicEngine:
         # boundary segments as (start, edge vector), for ray shooting
         self._seg = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1)
                      in zip(xy, xy[1:] + xy[:1])] if nb >= 3 else []
+        span = float((bd.max(0) - bd.min(0)).max())  # E of LOC_TOL
+        self._loc_tol = -LOC_TOL * float(abs(bd).max()) * span
         # convexity: all boundary turns non-right (CCW cycle)
         self.convex = True
         for k in range(nb):
@@ -246,16 +255,16 @@ class GeodesicEngine:
                 raise ValueError(f"point {p} outside polygon")
             return ()
         px, py = p
+        lo = self._loc_tol
         # p is in a triangle when no corner turn toward it is clockwise by
-        # more than the tolerance; the looser tolerance is a fallback
-        for lo in (-1e-9, -1e-6):
-            out = tuple(t for t, (ax, ay, bx, by, cx, cy) in enumerate(self._tri_xy)
-                        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= lo and
-                        (cx - bx) * (py - by) - (cy - by) * (px - bx) >= lo and
-                        (ax - cx) * (py - cy) - (ay - cy) * (px - cx) >= lo)
-            if out:
-                return out
-        raise ValueError(f"point {p} outside polygon")
+        # more than the tolerance
+        out = tuple(t for t, (ax, ay, bx, by, cx, cy) in enumerate(self._tri_xy)
+                    if (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= lo and
+                    (cx - bx) * (py - by) - (cy - by) * (px - bx) >= lo and
+                    (ax - cx) * (py - cy) - (ay - cy) * (px - cx) >= lo)
+        if not out:
+            raise ValueError(f"point {p} outside polygon")
+        return out
 
     def _on_degenerate(self, p, tol):
         a = self.inst.R.pts[0]

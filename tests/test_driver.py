@@ -188,3 +188,19 @@ def test_optimize_swap_and_reversal(inst, eps):
     assert optimize(inst.B.pts, inst.R.pts, eps) == pytest.approx(want, rel=1e-9)
     assert optimize(inst.R.pts[::-1], inst.B.pts[::-1], eps) == \
         pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 7, 13, 18, 25, 39, 54])
+def test_optimize_under_scaling(seed):
+    """Scaled about the origin by 1e-5 the answer stays in the (1+eps)
+    window of the unscaled d_F; scaled by 1e5 it is the unscaled answer."""
+    inst = random_instance(seed, max_total=30)
+    R, B = inst.R.pts, inst.B.pts
+    eps = 0.1
+    dstar = frechet_bisect(inst, "geodesic", tol=1e-10)
+    small = approx_optimize(build_instance((R * 1e-5).tolist(),
+                                           (B * 1e-5).tolist()), eps) / 1e-5
+    assert dstar * (1 - 1e-6) <= small <= dstar * (1 + eps) * (1 + 1e-6)
+    big = approx_optimize(build_instance((R * 1e5).tolist(),
+                                         (B * 1e5).tolist()), eps) / 1e5
+    assert big == pytest.approx(approx_optimize(inst, eps), rel=1e-9)

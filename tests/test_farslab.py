@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from geofrechet import farslab
 from geofrechet.farslab import (_HitParams, _snap_samples, build_gate_sets,
                                 build_separator_anchors, far_decide,
                                 far_find_exit, snapped_curves)
@@ -143,8 +144,7 @@ def test_snapped_values_are_anchor_distances(seed):
                     assert xs == sorted(xs) and len(vals) == len(xs)
                     assert set(extra) <= set(xs)
                     for x, v in zip(xs, vals):
-                        # abs: the engine's distance slack DIST_TOL; a point
-                        # 1e-10 past a reflex vertex may be routed straight
+                        # abs: the engine's distance slack DIST_TOL
                         want = eng.distance(tuple(curve.eval(x)), tuple(anchor))
                         assert v == pytest.approx(want, rel=1e-9, abs=DIST_TOL)
 
@@ -258,6 +258,78 @@ def test_far_find_exit_bracketed(eps):
             Bhat = inst.B.subcurve(slab.y_lo, slab.y_hi)
             assert freespace_decide(sub_instance(inst, Rhat, Bhat), "geodesic",
                                     delta * (1 + eps) * (1 + 1e-9) + 1e-9)
+
+
+def test_far_decide_builds_gates_as_it_reaches_them(monkeypatch):
+    """Each anchor interval the propagation enters builds the gate set at
+    its far end, and the last interval builds none, so a decision that
+    dies early builds fewer than the K - 1 gate sets of its anchors."""
+    seen = {"K": 0, "candidates": 0, "intervals": 0}
+    anchors, cands, prop = (farslab.build_separator_anchors,
+                            farslab._gate_candidates, farslab._propagate_space)
+
+    def counted(key, fn, count=lambda out: 1):
+        def inner(*a):
+            out = fn(*a)
+            seen[key] += count(out)
+            return out
+        return inner
+
+    monkeypatch.setattr(farslab, "build_separator_anchors",
+                        counted("K", anchors, lambda A: A.K if A else 0))
+    monkeypatch.setattr(farslab, "_gate_candidates", counted("candidates", cands))
+    monkeypatch.setattr(farslab, "_propagate_space", counted("intervals", prop))
+    early = 0
+    for (inst, slab, delta) in far_instances():
+        Rhat = inst.R.subcurve(slab.entrance[0], float(inst.R.n))
+        Bhat = inst.B.subcurve(slab.y_lo, slab.y_hi)
+        for f in (0.6, 0.8, 1.0):
+            seen.update(dict.fromkeys(seen, 0))
+            far_decide(inst, Rhat, Bhat, delta * f, 0.1)
+            K, entered = seen["K"], seen["intervals"]
+            # one _gate_candidates call per curve and gate set
+            assert seen["candidates"] == 2 * max(min(entered, K - 1), 0)
+            early += K >= 3 and entered < K - 1
+    assert early >= 1
+
+
+def _exit_candidates(inst, slab):
+    x0 = slab.entrance[0]
+    return [tp for tp in transit_exits_on_interval(inst, slab.y_hi, slab.exit)
+            if tp.point.x >= x0 - 1e-12]
+
+
+def test_far_find_exit_probe_order(monkeypatch):
+    """With a decision that passes from candidate t on, every t gets
+    candidate t back (None past the last), the probes start 0, 1, 2, 4,
+    ..., then the last index, and no index is probed twice."""
+    inst, slab, delta = next(c for c in far_instances()
+                             if len(_exit_candidates(c[0], c[1])) >= 8)
+    x0 = slab.entrance[0]
+    cands = _exit_candidates(inst, slab)
+    index = {tuple(map(float, inst.R.eval(max(tp.point.x, x0)))): k
+             for k, tp in enumerate(cands)}
+    assert len(index) == len(cands)
+    last = len(cands) - 1
+    gallop = [0] + [2 ** j for j in range(last.bit_length())]
+    gallop += [last] if gallop[-1] < last else []
+    entrance = TransitPoint(ParamPoint(x0, slab.y_lo), "vertex")
+    for t in range(last + 2):
+        probes = []
+
+        def stub(inst_, Rhat, Bhat, d, eps):
+            probes.append(index[tuple(map(float, Rhat.pts[-1]))])
+            return probes[-1] >= t
+
+        monkeypatch.setattr(farslab, "far_decide", stub)
+        got = far_find_exit(inst, slab, entrance, delta, 0.1)
+        if t > last:
+            assert got is None
+        else:
+            assert got.point == cands[t].point
+        assert len(probes) == len(set(probes))
+        first = [k for k in gallop if k < t] + [k for k in gallop if k >= t][:1]
+        assert probes[:len(first)] == first
 
 
 def test_far_find_exit_requires_far_slab():

@@ -208,3 +208,40 @@ def test_point_just_outside_convex_rejected():
     _assert_rejected(inst, out, mid)
     # the boundary point itself is accepted
     assert geodesic_distance(inst, mid, tuple(inst.B.pts[1])) > 0
+
+
+def test_distance_just_past_reflex_vertex_goes_around_it():
+    """A curve point 1e-10 along an edge from a reflex vertex is located in
+    the triangles that hold it, not in those across the vertex, so its
+    distance bends around the vertex as the edge's profile does."""
+    inst = gen_simple(2, spikes=1)
+    eng = get_engine(inst)
+    anchor = (1.5368, -0.4449)
+    for curve in (inst.R, inst.B):
+        for i in range(1, curve.n):
+            a, b = curve.pts[i - 1], curve.pts[i]
+            prof = eng.segment_profile(anchor, a, b)
+            step = 1e-10 / math.hypot(*(b - a))
+            for t in (step, 1 - step):
+                want = prof.eval(t)
+                got = eng.distance(tuple(a + t * (b - a)), anchor)
+                assert got == pytest.approx(want, rel=1e-12), (i, t)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+def test_location_tolerance_scales_with_the_polygon(scale):
+    """Scaled about the origin, a boundary point is still located, and a
+    point just outside a boundary edge is still rejected."""
+    inst = gen_simple(2, spikes=1)
+    big = build_instance((inst.R.pts * scale).tolist(),
+                         (inst.B.pts * scale).tolist())
+    eng = get_engine(big)
+    inside = tuple(big.R.eval(1.5))
+    for k, (a, b) in enumerate(_boundary_segments(big)):
+        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+        assert eng.distance(mid, inside) >= 0
+        nx, ny = b[1] - a[1], a[0] - b[0]  # outward: the cycle is CCW
+        L = math.hypot(nx, ny)
+        out = (mid[0] + 1e-6 * scale * nx / L, mid[1] + 1e-6 * scale * ny / L)
+        if not inside_oracle(big, out, 0.0):
+            _assert_rejected(big, out, inside)
