@@ -13,15 +13,18 @@ the shared endpoints and a middle part that matches points lying on a
 common line parallel to r*-b*. The split costs O(n + m) array steps per
 pair and gives a lower bound on the pair's cost: max(d*, fan cost), where
 d* = |r* - b*| is the cost of the middle part (the affine-diameter
-property of convex bodies). `convex_frechet` visits the pairs in
-increasing bound and builds a pair's full matching only while its bound is
+property of convex bodies). d* alone is a lower bound that needs no split,
+so `convex_frechet` splits pairs in increasing d* only while one could
+still come before the lowest pending bound and below the best cost, and
+builds a pair's full matching in increasing bound only while that bound is
 below the best cost found, which is one merge unless bounds tie. The
-minimum over all caliper pairs is the exact Fréchet distance. With O(N)
-pairs and O(N) level arrays per split the solver is still O(N^2), in
-numpy rather than in Python steps.
+minimum over all caliper pairs is the exact Fréchet distance. The sweep and
+the sort by d* take O(N log N); a split is still O(N) numpy work, so the
+worst case stays O(N^2), but the benchmark ellipses split one pair each.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -342,26 +345,34 @@ def parallel_matching_cost(inst: PolygonInstance, pair: TangentPair) -> Optional
 
 
 def convex_frechet(inst: PolygonInstance) -> MatchingPath:
-    """Exact Fréchet matching between R and B bounding a convex polygon."""
+    """Exact Fréchet matching between R and B bounding a convex polygon.
+
+    Merges the valid splits in increasing (bound, caliper index) until a
+    bound reaches the best cost. A pair's bound is at least its d*, so the
+    pairs are split in increasing d* and a pending split is merged once no
+    unsplit pair can come before it."""
     _check_convex(inst)
     n, m = inst.R.n, inst.B.n
     if inst.degenerate:
         wps = [ParamPoint(1.0, 1.0), ParamPoint(float(n), float(m))]
         return MatchingPath(wps, 0.0)
     fans = _fan_maxima(inst)
-    bounds = []
-    for pair in tangent_pairs(inst):
-        split = _split(inst, pair, fans)
-        if split is not None:
-            bounds.append((split.bound, pair))
-    bounds.sort(key=lambda bp: bp[0])
-    # a pair costs at least its bound: once the next bound reaches the best
-    # cost, no later pair can do better
+    pairs = tangent_pairs(inst)
+    d_star = [math.hypot(p.r_star[0] - p.b_star[0], p.r_star[1] - p.b_star[1]) for p in pairs]
+    order = iter(sorted(range(len(pairs)), key=d_star.__getitem__))
+    k = next(order, None)
+    pending = []  # (bound, caliper index) of the splits not merged yet
     best = None
-    for bound, pair in bounds:
-        if best is not None and bound >= best.cost:
+    while True:
+        while (k is not None and (not pending or d_star[k] <= pending[0][0])
+               and (best is None or d_star[k] < best.cost)):
+            split = _split(inst, pairs[k], fans)
+            if split is not None:
+                heapq.heappush(pending, (split.bound, k))
+            k = next(order, None)
+        if not pending or (best is not None and pending[0][0] >= best.cost):
             break
-        path = parallel_matching_cost(inst, pair)
+        path = parallel_matching_cost(inst, pairs[heapq.heappop(pending)[1]])
         if best is None or path.cost < best.cost:
             best = path
     if best is None:

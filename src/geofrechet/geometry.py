@@ -208,20 +208,28 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     without a triangle). An ear test looks only at the vertices in a
     bounding box around the triangle, and a vertex is tested again only
     when a neighbour or the vertex that blocked it is clipped.
+
+    When every turn exceeds 4*err, the threshold above which an ear test
+    looks only at its bounding box, the polygon is strictly convex beyond
+    rounding. Every fan triangle from the last vertex is then an ear, so
+    the loop would clip vertices 0, 1, ..., v-4 in turn; their fan is
+    returned in O(v) without the loop.
     """
     v = len(poly)
     if v < 3:
         return []
     P = np.asarray(poly, dtype=float).tolist()
+    # the eps of _point_in_triangle plus a bound on the rounding error of
+    # orient() over these coordinates (about 4e-15 * big**2)
+    big = max(1.0, max(abs(c) for p in P for c in p))
+    err = 1e-12 + 1e-13 * big * big
+    if all(orient(P[k - 1], P[k], P[(k + 1) % v]) > 4 * err for k in range(v)):
+        return [(v - 1, k, k + 1) for k in range(v - 3)] + [(v - 3, v - 2, v - 1)]
     prv = [(k - 1) % v for k in range(v)]
     nxt = [(k + 1) % v for k in range(v)]
     alive = [True] * v
     by_x = sorted(range(v), key=lambda k: P[k][0])
     xs = [P[k][0] for k in by_x]
-    # the eps of _point_in_triangle plus a bound on the rounding error of
-    # orient() over these coordinates (about 4e-15 * big**2)
-    big = max(1.0, max(abs(c) for p in P for c in p))
-    err = 1e-12 + 1e-13 * big * big
     blocks = defaultdict(list)      # vertex -> the ears it was found inside
     is_ear = [False] * v
 

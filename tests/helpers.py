@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import geofrechet.geometry as geometry
+from geofrechet import convex
 from geofrechet.geometry import orient, seg_intersect
 from geofrechet.geodesic import PAR_TOL, SegmentProfile, get_engine
 from geofrechet.oracle import (TOL, _corner_reachable, _corner_sets,
@@ -635,6 +636,27 @@ def ear_clip_reference(poly):
         if orient(poly[idx[0]], poly[idx[1]], poly[idx[2]]) > 0:
             tris.append((idx[0], idx[1], idx[2]))
     return tris
+
+
+def convex_frechet_all_pairs(inst):
+    """convex_frechet that splits every tangent pair, sorts the valid splits
+    by bound (ties in caliper order) and merges them in that order until a
+    bound reaches the best cost."""
+    fans = convex._fan_maxima(inst)
+    bounds = []
+    for pair in convex.tangent_pairs(inst):
+        split = convex._split(inst, pair, fans)
+        if split is not None:
+            bounds.append((split.bound, pair))
+    bounds.sort(key=lambda bp: bp[0])
+    best = None
+    for bound, pair in bounds:
+        if best is not None and bound >= best.cost:
+            break
+        path = convex.parallel_matching_cost(inst, pair)
+        if best is None or path.cost < best.cost:
+            best = path
+    return best
 
 
 def reference_build_instance(R, B):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geofrechet import convex
+from geofrechet import convex, geometry
 from geofrechet.convex import _points_at, convex_frechet, parallel_matching_cost, tangent_pairs
 from geofrechet.generators import gen_convex
 from geofrechet.geometry import build_instance
 from geofrechet.oracle import freespace_decide, frechet_bisect
 
-from helpers import matching_cost_euclid
+from helpers import convex_frechet_all_pairs, matching_cost_euclid
 
 
 def test_square_split():
@@ -224,3 +224,65 @@ def test_one_full_matching_on_ellipses(monkeypatch, n, r):
     inst = ellipse_instance(1000 * n + r, n)
     assert convex_frechet(inst).cost > 0
     assert len(merges) == 1
+
+
+def test_ellipses_take_the_fan(monkeypatch):
+    """The workload ellipses are strictly convex: ear_clip returns its fan
+    without testing a single point in a triangle."""
+    calls = []
+    inside = geometry._point_in_triangle
+    monkeypatch.setattr(geometry, "_point_in_triangle",
+                        lambda *a: calls.append(a) or inside(*a))
+    for n in (80, 160, 320):
+        for r in (0, 1):
+            inst = ellipse_instance(1000 * n + r, n)
+            v = len(inst.boundary)
+            assert inst.triangles == [(v - 1, k, k + 1) for k in range(v - 3)] + [(v - 3, v - 2, v - 1)]
+    assert not calls
+
+
+def recorded_merges(solve, inst):
+    """solve(inst) and the (bound, params) of every split it merged, in
+    order."""
+    merges = []
+    merge = convex._merge
+
+    def recorded(inst, split):
+        merges.append((split.bound, split.params))
+        return merge(inst, split)
+
+    convex._merge = recorded
+    try:
+        return solve(inst), merges
+    finally:
+        convex._merge = merge
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(convex_instances, regular_instances))
+def test_best_first_matches_all_pairs(inst):
+    """Splitting pairs in increasing d* merges the same splits in the same
+    order as splitting them all and sorting by bound, ties included."""
+    got, merged = recorded_merges(convex_frechet, inst)
+    want, want_merged = recorded_merges(convex_frechet_all_pairs, inst)
+    assert got.cost == want.cost
+    assert got.waypoints == want.waypoints
+    assert merged == want_merged
+
+
+@pytest.mark.parametrize("n,r", [(80, 0), (80, 1), (160, 0), (160, 1), (320, 0), (320, 1)])
+def test_ellipses_split_few_pairs(monkeypatch, n, r):
+    """d* bounds a pair's cost from below, so the pairs whose d* reaches
+    the best cost are never split."""
+    split = convex._split
+    seen = set()
+
+    def counted(inst, pair, fans):
+        seen.add(pair)
+        return split(inst, pair, fans)
+
+    inst = ellipse_instance(1000 * n + r, n)
+    pairs = tangent_pairs(inst)
+    monkeypatch.setattr(convex, "_split", counted)
+    convex_frechet(inst)
+    assert len(seen) <= 0.15 * len(pairs)

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geofrechet.generators import gen_pocket
@@ -157,6 +157,45 @@ def test_ear_clip_matches_reference(seed):
     tiny = gen_pocket(seed, 12).boundary * 1e-6 + 3.0
     for poly in (np.array(stairs, dtype=float), tiny):
         assert ear_clip(poly) == ear_clip_reference(poly)
+
+
+@st.composite
+def strictly_convex_polygons(draw):
+    """Strictly convex CCW polygons: thin ellipses with axis ratio down to
+    1e-6, or unit circles with vertices 1e-15 to 1e-6 outside an edge,
+    scaled by 1e-6 to 1e6 and translated by up to 1e3."""
+    n = draw(st.integers(3, 30))
+    jitter = draw(st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n))
+    pts = [(math.cos(2 * math.pi * (i + j) / n), math.sin(2 * math.pi * (i + j) / n))
+           for i, j in enumerate(jitter)]
+    if draw(st.booleans()):
+        ratio = 10 ** draw(st.floats(-6, 0))
+        pts = [(x, ratio * y) for x, y in pts]
+    else:
+        bulged = []
+        for i, (x0, y0) in enumerate(pts):
+            x1, y1 = pts[(i + 1) % n]
+            bulged.append((x0, y0))
+            if draw(st.booleans()):
+                t, off = draw(st.floats(0.2, 0.8)), 10 ** draw(st.floats(-15, -6))
+                length = math.hypot(x1 - x0, y1 - y0)
+                bulged.append((x0 + t * (x1 - x0) + off * (y1 - y0) / length,
+                               y0 + t * (y1 - y0) - off * (x1 - x0) / length))
+        pts = bulged
+    s = 10 ** draw(st.floats(-6, 6))
+    tx, ty = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    poly = np.array([(s * x + tx, s * y + ty) for x, y in pts])
+    assume(len(np.unique(poly, axis=0)) == len(poly))
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(strictly_convex_polygons())
+def test_ear_clip_fan_matches_reference(poly):
+    """Where every turn clears the error margin ear_clip returns the fan
+    without clipping; elsewhere the loop runs. Both give the reference's
+    triangles."""
+    assert ear_clip(poly) == ear_clip_reference(poly)
 
 
 @pytest.mark.parametrize("seed", range(6))
