@@ -80,45 +80,39 @@ def sweep_instance(seed):
 def bench_sweep():
     """approx_optimize over the first sweep instances with the sweep's eps
     cycle: (total s, s inside propagate_reachability, propagation calls,
-    grid-path calls, median n, median m of the snapped curves, NN
-    profiles, their vertex starts, their nearest-point queries, far_decide
-    calls, gate sets built, rays shot), times best of REPS, counts from
-    the last run."""
+    grid-path calls, median n, median m of the snapped curves, counts),
+    times best of REPS, counts from the last run. The counts are NN
+    profiles, their vertex starts, their nearest-point queries, reverse
+    brackets dropped, far-slab exits, their probes, gate sets built, gate
+    sets that reused their anchor's B-hat side, and rays shot."""
     inner = farslab.propagate_reachability
     sizes = []
     spent = [0.0]
-    counts = {"grid": 0, "nn": 0, "profiles": 0, "starts": 0, "decide": 0,
-              "gates": 0, "rays": 0}
-    grid, nn_search, build = (oned._propagate_grid, nnprofile._nn_search,
-                              nnprofile._build_profile)
-    decide, gates, ray = (farslab.far_decide, farslab.build_gate_sets,
-                          farslab._ray_hit)
+    counts = dict.fromkeys(("grid", "nn", "profiles", "starts", "dropped",
+                            "exits", "probes", "gates", "b_sides", "rays"), 0)
+    Crossing = farslab._Crossing
+    patches = [(oned, "_propagate_grid", "grid"), (nnprofile, "_nn_search", "nn"),
+               (driver, "far_find_exit", "exits"), (Crossing, "reaches", "probes"),
+               (Crossing, "gate_set", "gates"), (Crossing, "_b_side", "b_sides"),
+               (farslab, "_ray_hit", "rays")]
+    saved = [(obj, name, getattr(obj, name)) for obj, name, _ in patches]
+    build, below = nnprofile._build_profile, nnprofile._bracket_below
 
-    def counted_decide(*a):
-        counts["decide"] += 1
-        return decide(*a)
+    def counted(fn, key):
+        def inner(*a, **kw):
+            counts[key] += 1
+            return fn(*a, **kw)
+        return inner
 
-    def counted_gates(*a):
-        out = gates(*a)
-        counts["gates"] += len(out)
-        return out
-
-    def counted_ray(*a):
-        counts["rays"] += 1
-        return ray(*a)
-
-    def counted_grid(*a):
-        counts["grid"] += 1
-        return grid(*a)
-
-    def counted_nn(*a):
-        counts["nn"] += 1
-        return nn_search(*a)
-
-    def counted_build(inst, source, target):
+    def counted_build(inst, source, target, **kw):
         counts["profiles"] += 1
         counts["starts"] += source.n
-        return build(inst, source, target)
+        return build(inst, source, target, **kw)
+
+    def counted_below(*a):
+        out = below(*a)
+        counts["dropped"] += out
+        return out
 
     def timed(r, b, delta, S, E):
         sizes.append((r.n, b.n))
@@ -128,12 +122,10 @@ def bench_sweep():
         return out
 
     farslab.propagate_reachability = timed
-    oned._propagate_grid = counted_grid
-    nnprofile._nn_search = counted_nn
+    for (obj, name, key), (_, _, fn) in zip(patches, saved):
+        setattr(obj, name, counted(fn, key))
     nnprofile._build_profile = counted_build
-    farslab.far_decide = counted_decide
-    farslab.build_gate_sets = counted_gates
-    farslab._ray_hit = counted_ray
+    nnprofile._bracket_below = counted_below
     best_total = best_prop = math.inf
     try:
         for _ in range(REPS):
@@ -149,17 +141,13 @@ def bench_sweep():
             best_prop = min(best_prop, spent[0])
     finally:
         farslab.propagate_reachability = inner
-        oned._propagate_grid = grid
-        nnprofile._nn_search = nn_search
+        for obj, name, fn in saved:
+            setattr(obj, name, fn)
         nnprofile._build_profile = build
-        farslab.far_decide = decide
-        farslab.build_gate_sets = gates
-        farslab._ray_hit = ray
+        nnprofile._bracket_below = below
     return (best_total, best_prop, len(sizes), counts["grid"],
             statistics.median(n for n, _ in sizes),
-            statistics.median(m for _, m in sizes),
-            counts["profiles"], counts["starts"], counts["nn"],
-            counts["decide"], counts["gates"], counts["rays"])
+            statistics.median(m for _, m in sizes), counts)
 
 
 def bench_scaling(n):
@@ -244,8 +232,8 @@ def main():
     s_m = slope(SIZES, [r[1] for r in rows])
     s_p = slope(SIZES, [r[2] for r in rows])
     xrows = [bench_crossover(k) for k in CROSSOVER_K]
-    (sweep_s, prop_s, calls, grid_calls, med_n, med_m,
-     profiles, starts, nn_calls, decides, gate_sets, rays) = bench_sweep()
+    sweep_s, prop_s, calls, grid_calls, med_n, med_m, counts = bench_sweep()
+    profiles, nn_calls = counts["profiles"], counts["nn"]
     grows = [bench_scaling(n) for n in SCALING_N]
     s_t = slope([r[0] for r in grows], [r[1] for r in grows])
     s_h = slope([r[0] for r in grows], [r[2] for r in grows])
@@ -286,33 +274,45 @@ def main():
         fh.write("`approx_optimize` on sweep instances 0-%d (criterion 5's\n"
                  "generators, n+m <= 30) with eps cycling 0.5, 0.1, 0.05; each\n"
                  "instance is built fresh, and times are the best of %d runs.\n"
-                 "The propagation time is spent inside\n"
+                 "A far-slab exit (`far_find_exit`) probes transit exits with\n"
+                 "one decision each, and all probes of an exit share one\n"
+                 "crossing of B-hat. The propagation time is spent inside\n"
                  "`propagate_reachability`, called once per anchor interval\n"
-                 "that a far-slab decision (`far_decide`) enters; the calls\n"
-                 "are split by the path they take. Each interval but the\n"
-                 "last first builds the gate set of the anchor at its far\n"
-                 "end, shooting at most one ray per gate candidate.\n\n"
+                 "that a probe enters; the calls are split by the path they\n"
+                 "take. Each interval but the last first builds the gate set\n"
+                 "of the anchor at its far end; the B-hat side of an anchor's\n"
+                 "gate set, with its rays, is built by the first probe that\n"
+                 "reaches the anchor and reused by the others. A ray is shot\n"
+                 "once per crossing, anchor and last bend of the geodesics\n"
+                 "through it.\n\n"
                  % (SWEEP - 1, REPS))
         fh.write("| approx_optimize total (s) | propagate_reachability (s) "
                  "| calls (grid / forests) | median snapped size n × m "
-                 "| far_decide calls | gate sets | rays |\n")
-        fh.write("|---:|---:|---:|---:|---:|---:|---:|\n")
+                 "| exits | probes | gate sets (B-hat side reused) | rays |\n")
+        fh.write("|---:|---:|---:|---:|---:|---:|---:|---:|\n")
         fh.write(f"| {sweep_s:.3f} | {prop_s:.3f} | {calls} ({grid_calls} / "
                  f"{calls - grid_calls}) | {med_n:g} × {med_m:g} "
-                 f"| {decides} | {gate_sets} | {rays} |\n\n")
+                 f"| {counts['exits']} | {counts['probes']} | {counts['gates']} "
+                 f"({counts['gates'] - counts['b_sides']}) | {counts['rays']} |\n\n")
         fh.write("The same runs build %d nearest-neighbour profiles (both\n"
                  "directions). Each queries the nearest point (`_nn_search`)\n"
                  "at its source vertices and then at the split points of its\n"
-                 "brackets.\n\n" % profiles)
+                 "brackets. The reverse profile (B onto R) feeds only the\n"
+                 "Hausdorff bound, so its brackets that cannot raise the\n"
+                 "bound are dropped unsplit.\n\n" % profiles)
         fh.write("| profiles | queries | at vertices | in brackets "
-                 "| queries per profile |\n|---:|---:|---:|---:|---:|\n")
-        fh.write(f"| {profiles} | {nn_calls} | {starts} | {nn_calls - starts} "
+                 "| reverse brackets dropped | queries per profile |\n"
+                 "|---:|---:|---:|---:|---:|---:|\n")
+        fh.write(f"| {profiles} | {nn_calls} | {counts['starts']} "
+                 f"| {nn_calls - counts['starts']} | {counts['dropped']} "
                  f"| {nn_calls / max(profiles, 1):.1f} |\n\n")
         fh.write("## approx_optimize against n+m\n\n")
         fh.write("`approx_optimize` at eps 0.1 on `gen_simple(3, n, spikes=1)`,\n"
                  "built fresh for each of %d runs (best time kept). The\n"
                  "Hausdorff column is the time inside `geodesic_hausdorff`,\n"
-                 "which builds both nearest-neighbour profiles.\n\n" % REPS)
+                 "which builds the nearest-neighbour profile of R onto B and\n"
+                 "the reverse one where it can still raise the maximum.\n\n"
+                 % REPS)
         fh.write("| n+m | approx_optimize (s) | geodesic_hausdorff (s) |\n")
         fh.write("|---:|---:|---:|\n")
         for (nm, tt, th) in grows:

@@ -6,7 +6,7 @@ brute-force free-space oracles for validation.
 """
 
 from .geometry import (Point2, ParamPoint, PolyCurve, PolygonInstance,
-                       MatchingPath, build_instance, eval_curve, subcurve)
+                       MatchingPath, build_instance)
 from .oned import (Curve1D, GridPoint, prefix_minima, suffix_minima,
                    closest_pair_1d, frechet_matching_1d,
                    greedy_step, build_greedy_forest, bichromatic_intersections,
@@ -25,7 +25,7 @@ from .driver import geodesic_hausdorff, approx_decide, approx_optimize
 
 __all__ = [
     "Point2", "ParamPoint", "PolyCurve", "PolygonInstance", "MatchingPath",
-    "build_instance", "eval_curve", "subcurve",
+    "build_instance",
     "Curve1D", "GridPoint", "prefix_minima", "suffix_minima",
     "closest_pair_1d", "frechet_matching_1d",
     "greedy_step", "build_greedy_forest", "bichromatic_intersections",

@@ -2,29 +2,33 @@
 
 The decision walks the slab partition bottom-up, advancing one transit
 point per slab boundary: exact greedy steps through near slabs, anchored
-snapped propagation through far slabs. The optimizer grid-searches powers
-of an internal (1+eps') between the Hausdorff lower bound and its tripled
-upper bound, with (1+eps')^2 = 1+eps so the two-sided loss composes to the
-requested factor.
+snapped propagation through far slabs, whose probes for one exit share
+the work that depends on the slab alone. The optimizer grid-searches
+powers of an internal (1+eps') between the Hausdorff lower bound and its
+tripled upper bound, with (1+eps')^2 = 1+eps so the two-sided loss
+composes to the requested factor. The Hausdorff bound is the larger top
+of the two nearest-neighbour profiles; the reverse one is refined only
+where it can still raise that top.
 """
 from __future__ import annotations
 
 import math
 
 from .geometry import ParamPoint, PolygonInstance
-from .nnprofile import EmptyFanLeaf, build_slabs, fan_leaf, nn_profile, nn_profile_reverse
+from .nnprofile import EmptyFanLeaf, _reverse_top, build_slabs, fan_leaf, nn_profile
 from .nearslab import TransitPoint, advance_near_slab
 from .farslab import far_find_exit
 
 
 def geodesic_hausdorff(inst: PolygonInstance) -> float:
-    """Symmetric geodesic Hausdorff distance between R and B."""
+    """Symmetric geodesic Hausdorff distance between R and B: the larger
+    maximum of the two nearest-neighbour profiles. The reverse profile
+    (B onto R) feeds only this maximum, so its brackets that cannot raise
+    it are never split."""
     if inst.degenerate:
         return 0.0
     if "hausdorff" not in inst._cache:
-        a = nn_profile(inst).max_value()
-        b = nn_profile_reverse(inst).max_value()
-        inst._cache["hausdorff"] = max(a, b)
+        inst._cache["hausdorff"] = _reverse_top(inst, nn_profile(inst).max_value())
     return inst._cache["hausdorff"]
 
 

@@ -10,6 +10,7 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -94,6 +95,11 @@ class PolyCurve:
             raise ValueError("non-finite coordinate")
         self.pts = pts
 
+    @cached_property
+    def _xy(self) -> list:
+        """The vertices as float pairs, for eval and subcurve."""
+        return self.pts.tolist()
+
     @property
     def n(self) -> int:
         return self.pts.shape[0]
@@ -108,11 +114,13 @@ class PolyCurve:
         n = self.n
         if not (1.0 - 1e-9 <= x <= n + 1e-9):
             raise ValueError(f"parameter {x} outside [1,{n}]")
+        if n == 1:
+            return Point2(*self._xy[0])
         x = min(max(x, 1.0), float(n))
-        i = min(int(math.floor(x)), n - 1) if n > 1 else 1
+        i = min(int(math.floor(x)), n - 1)
         t = x - i
-        p = self.pts[i - 1] * (1.0 - t) + self.pts[i] * t if n > 1 else self.pts[0]
-        return Point2(float(p[0]), float(p[1]))
+        (ax, ay), (bx, by) = self._xy[i - 1], self._xy[i]
+        return Point2(ax * (1.0 - t) + bx * t, ay * (1.0 - t) + by * t)
 
     def subcurve(self, x: float, x2: float) -> "PolyCurve":
         if x2 < x:
@@ -121,9 +129,9 @@ class PolyCurve:
         b = self.eval(x2)
         lo = int(math.ceil(x - 1e-12))
         hi = int(math.floor(x2 + 1e-12))
-        mids = [self.pts[i - 1] for i in range(lo, hi + 1)
+        mids = [self._xy[i - 1] for i in range(lo, hi + 1)
                 if x + 1e-12 < i < x2 - 1e-12]
-        verts = [list(a)] + [list(p) for p in mids] + [list(b)]
+        verts = [list(a)] + mids + [list(b)]
         # drop exact duplicates created when x or x2 sits on a vertex
         out = [verts[0]]
         for v in verts[1:]:
@@ -166,14 +174,6 @@ def _curves_cross(R: "PolyCurve", B: "PolyCurve") -> bool:
                for i, j in _bbox_pairs(segs))
 
 
-def eval_curve(curve: PolyCurve, x: float) -> Point2:
-    return curve.eval(x)
-
-
-def subcurve(curve: PolyCurve, x: float, x2: float) -> PolyCurve:
-    return curve.subcurve(x, x2)
-
-
 def _merge_duplicates(pts) -> list[list[float]]:
     out = [list(map(float, pts[0]))]
     for p in pts[1:]:
@@ -198,6 +198,15 @@ def _point_in_triangle(p, a, b, c, eps: float = 1e-12) -> bool:
     return not (neg and pos)
 
 
+def _turning(poly: np.ndarray) -> float:
+    """Total signed turning angle of a closed polygon: 2*pi for each
+    counter-clockwise revolution."""
+    u = poly - np.roll(poly, 1, axis=0)  # the edge into each vertex
+    w = np.roll(u, -1, axis=0)           # the edge out of it
+    return float(np.arctan2(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0],
+                            (u * w).sum(axis=1)).sum())
+
+
 def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     """Triangulate a simple CCW polygon by ear clipping.
 
@@ -210,10 +219,11 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     when a neighbour or the vertex that blocked it is clipped.
 
     When every turn exceeds 4*err, the threshold above which an ear test
-    looks only at its bounding box, the polygon is strictly convex beyond
-    rounding. Every fan triangle from the last vertex is then an ear, so
-    the loop would clip vertices 0, 1, ..., v-4 in turn; their fan is
-    returned in O(v) without the loop.
+    looks only at its bounding box, and the turns add up to one revolution
+    (a boundary that winds twice turns left everywhere too), the polygon
+    is strictly convex beyond rounding. Every fan triangle from the last
+    vertex is then an ear, so the loop would clip vertices 0, 1, ..., v-4
+    in turn; their fan is returned in O(v) without the loop.
     """
     v = len(poly)
     if v < 3:
@@ -223,7 +233,8 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     # orient() over these coordinates (about 4e-15 * big**2)
     big = max(1.0, max(abs(c) for p in P for c in p))
     err = 1e-12 + 1e-13 * big * big
-    if all(orient(P[k - 1], P[k], P[(k + 1) % v]) > 4 * err for k in range(v)):
+    if all(orient(P[k - 1], P[k], P[(k + 1) % v]) > 4 * err for k in range(v)) and \
+            _turning(np.asarray(poly, dtype=float)) < 3 * math.pi:
         return [(v - 1, k, k + 1) for k in range(v - 3)] + [(v - 3, v - 2, v - 1)]
     prv = [(k - 1) % v for k in range(v)]
     nxt = [(k + 1) % v for k in range(v)]

@@ -47,21 +47,37 @@ def transit_exits_on_segment(inst: PolygonInstance, i: int, y: float,
     return pts
 
 
-def transit_exits_on_interval(inst: PolygonInstance, y: float,
-                              interval) -> list[TransitPoint]:
-    """All transit exits of a row interval, ordered by x."""
+def _exits(inst: PolygonInstance, y: float, interval, start: int):
+    """Transit exits of a row interval in order of x, generated edge by
+    edge from R-edge `start` on (or the interval's first edge); each exit
+    within 1e-12 of the one kept before it is dropped."""
     lo, hi = float(interval[0]), float(interval[1])
     n = inst.R.n
-    out = []
+    last = None
     i0 = max(1, min(int(math.floor(lo)), n - 1))
     i1 = max(1, min(int(math.ceil(hi)) - 1, n - 1))
-    for i in range(i0, i1 + 1):
+    for i in range(max(i0, start), i1 + 1):
         if float(i + 1) < lo - 1e-12 or float(i) > hi + 1e-12:
             continue
         for tp in transit_exits_on_segment(inst, i, y, (lo, hi)):
-            if not out or tp.point.x > out[-1].point.x + 1e-12:
-                out.append(tp)
-    return out
+            if last is None or tp.point.x > last + 1e-12:
+                last = tp.point.x
+                yield tp
+
+
+def transit_exits_on_interval(inst: PolygonInstance, y: float,
+                              interval) -> list[TransitPoint]:
+    """All transit exits of a row interval, ordered by x."""
+    return list(_exits(inst, y, interval, 1))
+
+
+def _exits_right_of(inst: PolygonInstance, y: float, interval, x0: float):
+    """The exits of transit_exits_on_interval at or right of x0 - 1e-12,
+    generated lazily from the edge before the one holding x0. The exits of
+    the skipped edges could only decide which exits within 1e-12 of that
+    edge's start are dropped, and those lie left of x0 - 1e-12."""
+    return (tp for tp in _exits(inst, y, interval, int(math.floor(x0)) - 1)
+            if tp.point.x >= x0 - 1e-12)
 
 
 def advance_near_slab(inst: PolygonInstance, slab: Slab, entrance: TransitPoint,
@@ -73,7 +89,4 @@ def advance_near_slab(inst: PolygonInstance, slab: Slab, entrance: TransitPoint,
     lo, hi = slab.exit
     if x0 > hi + 1e-12:
         return None
-    for tp in transit_exits_on_interval(inst, slab.y_hi, slab.exit):
-        if tp.point.x >= x0 - 1e-12:
-            return tp
-    return None
+    return next(_exits_right_of(inst, slab.y_hi, slab.exit, x0), None)

@@ -34,6 +34,11 @@ The nearest point itself is found without querying every target edge: a
 geodesic is never shorter than the straight segment, so edges are taken
 in increasing order of their Euclidean distance and the search stops once
 that lower bound exceeds the best geodesic minimum found (see _nn_search).
+
+The Hausdorff bound reads only the maximum of the reverse profile (B onto
+R). For it the build drops every bracket whose convexity bound lies below
+the largest value seen so far in either direction (see _bracket_below and
+_reverse_top); `nn_profile_reverse` stays the full profile.
 """
 from __future__ import annotations
 
@@ -225,7 +230,24 @@ def _ab_scale(fm, fp) -> float:
     return m if m > 0 else 0.5
 
 
-def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
+def _bracket_below(inst, source, segs, xa, xb, a, b, level) -> bool:
+    """Whether nothing the build evaluates inside the bracket [xa, xb],
+    whose ends have nearest points a and b on edges a != b, can exceed
+    `level`. Along one source edge g_a and g_b are convex, so inside the
+    bracket the envelope and the values evaluated at its closing stay
+    below min(max(g_a(xa), g_a(xb)), max(g_b(xa), g_b(xb))); the factor
+    1 + 1e-9 covers the rounding of the four values."""
+    ga = _edge_min(inst, source.eval(xb), segs[a[2] - 1])[1]
+    gb = _edge_min(inst, source.eval(xa), segs[b[2] - 1])[1]
+    return min(max(a[1], ga), max(gb, b[1])) * (1 + 1e-9) < level
+
+
+def _build_profile(inst, source: PolyCurve, target: PolyCurve,
+                   floor=None) -> NNProfile:
+    """The profile of source onto target. With a `floor`, only
+    max(floor, top) is wanted: a bracket is dropped when it cannot raise
+    max(top so far, floor) (see _bracket_below), which leaves that maximum
+    unchanged but the breakpoints and regimes incomplete."""
     n = source.n
     segs = _segments(target)
     if inst.degenerate:
@@ -242,7 +264,8 @@ def _build_profile(inst, source: PolyCurve, target: PolyCurve) -> NNProfile:
              for i in range(len(xs) - 1)][::-1]
     while stack:
         xa, xb, a, b, ga, gb, moved = stack.pop()
-        if a[2] == b[2]:
+        if a[2] == b[2] or floor is not None and _bracket_below(
+                inst, source, segs, xa, xb, a, b, max(top, floor)):
             continue
         # h = g_a - g_b at the two ends, a pruned edge's value a lower bound
         fa, fb = a[1] - ga[b[2] - 1], gb[a[2] - 1] - b[1]
@@ -296,6 +319,15 @@ def nn_profile_reverse(inst: PolygonInstance) -> NNProfile:
     return inst._cache[key]
 
 
+def _reverse_top(inst: PolygonInstance, floor: float) -> float:
+    """max(floor, nn_profile_reverse(inst).top), building the reverse
+    profile only where it can raise that maximum unless it is cached."""
+    prof = inst._cache.get("nn_profile_BR")
+    if prof is None:
+        prof = _build_profile(inst, inst.B, inst.R, floor=floor)
+    return max(floor, prof.top)
+
+
 def fan_leaf(inst: PolygonInstance, apex, seed_x: float, delta: float) -> Fan:
     """Maximal interval of R containing seed_x within distance δ of apex."""
     eng = get_engine(inst)
@@ -322,7 +354,7 @@ def fan_leaf(inst: PolygonInstance, apex, seed_x: float, delta: float) -> Fan:
             raise ValueError("seed point is farther than delta from the apex")
     lo = i0 + iv[0]
     hi = i0 + iv[1]
-    i = i0
+    i, iv0 = i0, iv
     while iv[0] <= 1e-12 and i > 1:
         i -= 1
         iv2 = edge_free(i)
@@ -330,8 +362,7 @@ def fan_leaf(inst: PolygonInstance, apex, seed_x: float, delta: float) -> Fan:
             break
         iv = iv2
         lo = i + iv[0]
-    i = i0
-    iv = edge_free(i0)
+    i, iv = i0, iv0
     while iv[1] >= 1.0 - 1e-12 and i < n - 1:
         i += 1
         iv2 = edge_free(i)

@@ -10,8 +10,10 @@ import numpy as np
 
 import geofrechet.geometry as geometry
 from geofrechet import convex
+from geofrechet.farslab import far_decide
 from geofrechet.geometry import orient, seg_intersect
 from geofrechet.geodesic import PAR_TOL, SegmentProfile, get_engine
+from geofrechet.nearslab import transit_exits_on_interval
 from geofrechet.oracle import (TOL, _corner_reachable, _corner_sets,
                                _freespace_1d, _reach_dp)
 
@@ -373,6 +375,36 @@ def discrete_matching(inst, samples_per_edge: int = 8):
         _, i, j = min(opts)
     path.reverse()
     return C[n - 1][m - 1], path
+
+
+def far_find_exit_reference(inst, slab, entrance, delta, eps):
+    """farslab.far_find_exit with a fresh far_decide per probe: the same
+    gallop and bisection over the transit exits, nothing shared between
+    the probes."""
+    x0 = entrance.point.x
+    cands = [tp for tp in transit_exits_on_interval(inst, slab.y_hi, slab.exit)
+             if tp.point.x >= x0 - 1e-12]
+    if not cands:
+        return None
+    Bhat = inst.B.subcurve(slab.y_lo, slab.y_hi)
+
+    def ok(k):
+        Rhat = inst.R.subcurve(x0, max(cands[k].point.x, x0))
+        return far_decide(inst, Rhat, Bhat, delta, eps)
+
+    last = len(cands) - 1
+    lo, hi = -1, 0
+    while not ok(hi):
+        if hi == last:
+            return None
+        lo, hi = hi, min(max(2 * hi, 1), last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return cands[hi]
 
 
 def random_instance(seed: int, max_total: int = 30):

@@ -14,6 +14,8 @@ from geofrechet.driver import (approx_decide, approx_optimize, decision_chain,
 from geofrechet.generators import gen_convex, gen_pocket, gen_simple
 from geofrechet.geodesic import get_engine
 from geofrechet.geometry import build_instance
+from geofrechet import nnprofile
+from geofrechet.nnprofile import nn_profile, nn_profile_reverse
 from geofrechet.oracle import frechet_bisect, freespace_decide
 
 from helpers import random_instance
@@ -46,6 +48,41 @@ def test_hausdorff_vs_dense_sampling(seed):
             max(pr.nn_at(1 + (inst.B.n - 1) * k / N)[1] for k in range(N + 1)))
     assert got >= h - 1e-9
     assert got <= h + 0.02
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_hausdorff_is_the_larger_profile_top(seed):
+    """geodesic_hausdorff leaves out the reverse brackets that cannot raise
+    it and still equals the larger top of the two full profiles, bit for
+    bit."""
+    got = geodesic_hausdorff(random_instance(seed))
+    inst = random_instance(seed)
+    assert got == max(nn_profile(inst).top, nn_profile_reverse(inst).top)
+
+
+def test_hausdorff_drops_reverse_brackets(monkeypatch):
+    """On a spiked instance the Hausdorff bound drops reverse brackets and
+    makes fewer nearest-point queries than the two full profiles."""
+    calls, dropped = [0], [0]
+    search, below = nnprofile._nn_search, nnprofile._bracket_below
+
+    def counted_search(*args):
+        calls[0] += 1
+        return search(*args)
+
+    def counted_below(*args):
+        out = below(*args)
+        dropped[0] += out
+        return out
+
+    monkeypatch.setattr(nnprofile, "_nn_search", counted_search)
+    monkeypatch.setattr(nnprofile, "_bracket_below", counted_below)
+    got = geodesic_hausdorff(gen_simple(0, 40, spikes=2))
+    pruned, calls[0] = calls[0], 0
+    inst = gen_simple(0, 40, spikes=2)
+    assert got == max(nn_profile(inst).top, nn_profile_reverse(inst).top)
+    assert dropped[0] > 0 and pruned < calls[0]
 
 
 def test_square_decision_thresholds():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from geofrechet import farslab
-from geofrechet.farslab import (_HitParams, _snap_samples, build_gate_sets,
+from geofrechet.farslab import (_HitParams, _Snap, build_gate_sets,
                                 build_separator_anchors, far_decide,
                                 far_find_exit, snapped_curves)
 from geofrechet.generators import gen_pocket, gen_simple
@@ -15,7 +15,7 @@ from geofrechet.nearslab import TransitPoint, transit_exits_on_interval
 from geofrechet.nnprofile import build_slabs, nn_profile
 from geofrechet.oracle import frechet_bisect, freespace_decide
 
-from helpers import param_on_curve_reference, sub_instance
+from helpers import far_find_exit_reference, param_on_curve_reference, sub_instance
 
 
 def strip():
@@ -135,12 +135,12 @@ def test_snapped_values_are_anchor_distances(seed):
             assert A is not None
             for anchor in A.anchors:
                 for curve in (Rhat, Bhat):
-                    xs0, _ = _snap_samples(inst, curve, anchor)
+                    xs0, _ = _Snap(inst, curve, anchor).samples()
                     s = xs0[rng.randrange(len(xs0))]
                     near = s + 1e-10 if s + 1e-10 <= curve.n else s - 1e-10
                     extra = ([rng.uniform(1, curve.n) for _ in range(3)] +
                              [float(i) for i in range(1, curve.n + 1)] + [near])
-                    xs, vals = _snap_samples(inst, curve, anchor, extra)
+                    xs, vals = _Snap(inst, curve, anchor).samples(extra)
                     assert xs == sorted(xs) and len(vals) == len(xs)
                     assert set(extra) <= set(xs)
                     for x, v in zip(xs, vals):
@@ -163,7 +163,7 @@ def test_snapped_chords_dominate_anchor_distances(seed):
         assert A is not None
         for anchor in A.anchors:
             for curve in (inst.R, inst.B):
-                xs, vals = _snap_samples(inst, curve, anchor)
+                xs, vals = _Snap(inst, curve, anchor).samples()
                 for (xa, va), (xb, vb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
                     for f in (0.25, 0.5, 0.75):
                         chord = va + f * (vb - va)
@@ -260,6 +260,44 @@ def test_far_find_exit_bracketed(eps):
                                     delta * (1 + eps) * (1 + 1e-9) + 1e-9)
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.05])
+def test_far_find_exit_matches_fresh_probes(eps):
+    """Probes that share one crossing of B-hat return the transit exit that
+    a fresh far_decide per probe returns."""
+    found = missed = 0
+    for (inst, slab, delta) in far_instances():
+        ent = TransitPoint(ParamPoint(slab.entrance[0], slab.y_lo), "vertex")
+        for f in (0.6, 0.8, 1.0, 1.3):
+            got = far_find_exit(inst, slab, ent, delta * f, eps)
+            assert got == far_find_exit_reference(inst, slab, ent, delta * f, eps)
+            found += got is not None
+            missed += got is None
+    assert found and missed
+
+
+def test_shared_gate_sets_match_fresh_ones():
+    """Gate sets that a crossing builds for one R-hat after other R-hat
+    and other anchors have filled its shared state equal those
+    build_gate_sets builds from nothing for that anchor alone."""
+    checked = 0
+    for (inst, slab, delta) in far_instances():
+        Bhat = inst.B.subcurve(slab.y_lo, slab.y_hi)
+        A = build_separator_anchors(inst, Bhat.pts[0], Bhat.pts[-1], delta, 0.1)
+        if A is None or A.K < 3:
+            continue
+        crossing = farslab._Crossing(inst, Bhat, A)
+        x0 = slab.entrance[0]
+        for tp in _exit_candidates(inst, slab):
+            Rhat = inst.R.subcurve(x0, max(tp.point.x, x0))
+            hits = farslab._HitParams(inst, Rhat)
+            for k in range(1, A.K):
+                window = farslab.AnchorSet(A.separator, A.anchors[k - 1:k + 2], 2)
+                assert crossing.gate_set(Rhat, hits, k) == \
+                    build_gate_sets(inst, Rhat, Bhat, window)[0]
+            checked += 1
+    assert checked >= 10
+
+
 def test_far_decide_builds_gates_as_it_reaches_them(monkeypatch):
     """Each anchor interval the propagation enters builds the gate set at
     its far end, and the last interval builds none, so a decision that
@@ -317,11 +355,11 @@ def test_far_find_exit_probe_order(monkeypatch):
     for t in range(last + 2):
         probes = []
 
-        def stub(inst_, Rhat, Bhat, d, eps):
+        def stub(crossing, Rhat, thr):
             probes.append(index[tuple(map(float, Rhat.pts[-1]))])
             return probes[-1] >= t
 
-        monkeypatch.setattr(farslab, "far_decide", stub)
+        monkeypatch.setattr(farslab._Crossing, "reaches", stub)
         got = far_find_exit(inst, slab, entrance, delta, 0.1)
         if t > last:
             assert got is None

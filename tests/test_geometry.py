@@ -147,6 +147,16 @@ def test_build_matches_pairwise_references(curves):
     assert build_outcome(build_instance, R, B) == build_outcome(reference_build_instance, R, B)
 
 
+def test_boundary_winding_twice_is_rejected():
+    """Every turn of this boundary is to the left, but it winds around
+    twice, so it is not simple and gets no convex fan."""
+    R, B = [(1, 0), (1, 1)], [(1, 0), (0, 0), (1, 1), (1, 0), (0, 0), (1, 1)]
+    with pytest.raises(ValueError, match="triangulation failed"):
+        build_instance(R, B)
+    assert build_outcome(build_instance, R, B) == \
+        build_outcome(reference_build_instance, R, B)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_ear_clip_matches_reference(seed):
     """Collinear runs, and triangles below the orientation tolerance, make

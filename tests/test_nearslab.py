@@ -5,7 +5,7 @@ import pytest
 
 from geofrechet.generators import gen_pocket, gen_simple
 from geofrechet.geodesic import edge_profile, get_engine
-from geofrechet.nearslab import (TransitPoint, advance_near_slab,
+from geofrechet.nearslab import (TransitPoint, _exits_right_of, advance_near_slab,
                                  transit_exits_on_interval,
                                  transit_exits_on_segment)
 from geofrechet.nnprofile import build_slabs, nn_profile
@@ -145,3 +145,22 @@ def test_exit_not_left_of_any_reachable_exit(seed):
             Bhat = inst.B.subcurve(slab.y_lo, slab.y_hi)
             sub = sub_instance(inst, Rhat, Bhat)
             assert not freespace_decide(sub, "geodesic", delta * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_exits_match_the_full_list(seed):
+    """Exits generated from the edge before the entrance are those of the
+    full list at or right of the entrance, for entrances at every exit,
+    every vertex and points 1e-13 to either side of them."""
+    rng = random.Random(seed)
+    for inst in (gen_pocket(seed), gen_simple(seed, spikes=1)):
+        prof = nn_profile(inst)
+        n = inst.R.n
+        for slab in build_slabs(inst, prof, prof.max_value() * 1.3):
+            full = transit_exits_on_interval(inst, slab.y_hi, slab.exit)
+            xs = [tp.point.x for tp in full] + [float(i) for i in range(1, n + 1)]
+            xs += [rng.uniform(1, n) for _ in range(4)]
+            for x in xs:
+                for x0 in (x - 1e-13, x, x + 1e-13):
+                    want = [tp for tp in full if tp.point.x >= x0 - 1e-12]
+                    assert list(_exits_right_of(inst, slab.y_hi, slab.exit, x0)) == want
