@@ -1,13 +1,27 @@
 #!/usr/bin/env python3
 """Measure comb-family 1D scaling, the crossover between the two
 propagation paths, far-slab propagation and NN-profile queries on the
-sweep instances, approx_optimize against n+m and convex-solver scaling,
-count the library's lines, and publish docs/benchmark.md."""
+sweep instances, approx_optimize against n+m, convex-solver scaling and
+stages, count the library's lines, and publish docs/benchmark.md.
+
+    python scripts/benchmark.py                 # everything, docs/benchmark.md
+    python scripts/benchmark.py --stages LABEL --bench BENCH_39.json
+    python scripts/benchmark.py --perfbench LABEL DIR --bench BENCH_39.json
+
+--stages times the convex stages of the geofrechet on the import path and
+stores them under LABEL in the BENCH file, so that two trees can be
+compared by running it once per tree (PYTHONPATH=<tree>/src).
+--perfbench stores the medians of the end-to-end metrics of the perfbench
+records (perfbench/out/*-trace0.json) in DIR under LABEL."""
+import argparse
+import glob
+import json
 import math
 import os
 import platform
 import random
 import statistics
+import sys
 import time
 
 from geofrechet import convex, driver, farslab, generators, nnprofile, oned
@@ -24,7 +38,12 @@ CROSSOVER_K = [8, 16, 32, 64, 128, 256, 512, 1024]
 # gen_simple(3, n, spikes=1) has n+m = 16, 33, 64, 128 at these n
 SCALING_N = [14, 32, 62, 130]
 CONVEX_SIZES = [200, 400, 800, 1600, 3200]
+# the ellipse sizes of the perfbench convex workload
+STAGE_SIZES = [80, 160, 320]
 REPS = 3
+# the convex stages are timed apart, on a host whose speed drifts
+STAGE_REPS = 10
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def bench(n):
@@ -188,28 +207,101 @@ def ellipse(seed, n):
     return pts[:k + 1], [pts[0]] + pts[k:][::-1]
 
 
-def bench_convex(n):
-    """(build s, solve s, tangent pairs, pairs split) on the ellipse of
-    seed 1000·n, times best of REPS; the pairs that convex_frechet splits
-    are counted on one more, untimed solve."""
-    R, B = ellipse(1000 * n, n)
-    tb = ts = math.inf
-    for _ in range(REPS):
+def convex_stages(R, B, reps=STAGE_REPS):
+    """Wall seconds (best of reps, fresh instance each) of the stages of a
+    convex solve: build_instance, the convexity check, tangent_pairs, and
+    the rest of convex_frechet (the pair splits and merges), with the
+    number of tangent pairs and of pairs split."""
+    best = dict.fromkeys(("build", "check", "pairs", "splits_merge"), math.inf)
+    inner, split = convex.tangent_pairs, convex._split
+    split_pairs = set()
+
+    def counted(inst, pair, fans):
+        split_pairs.add(pair)
+        return split(inst, pair, fans)
+
+    for _ in range(reps):
         t0 = time.perf_counter()
         inst = build_instance(R, B)
         t1 = time.perf_counter()
-        convex_frechet(inst)
+        convex._check_convex(inst)
         t2 = time.perf_counter()
-        tb = min(tb, t1 - t0)
-        ts = min(ts, t2 - t1)
-    split = convex._split
-    split_pairs = set()
-    convex._split = lambda inst, pair, fans: split_pairs.add(pair) or split(inst, pair, fans)
-    try:
-        convex_frechet(inst)
-    finally:
-        convex._split = split
-    return tb, ts, len(convex.tangent_pairs(inst)), len(split_pairs)
+        pairs = inner(inst)
+        t3 = time.perf_counter()
+        convex.tangent_pairs, convex._split = (lambda inst: pairs), counted
+        try:
+            t4 = time.perf_counter()
+            convex_frechet(inst)
+            t5 = time.perf_counter()
+        finally:
+            convex.tangent_pairs, convex._split = inner, split
+        for key, t in zip(best, (t1 - t0, t2 - t1, t3 - t2, t5 - t4)):
+            best[key] = min(best[key], t)
+    return {**best, "n_pairs": len(pairs), "n_split": len(split_pairs)}
+
+
+def bench_stages():
+    """Convex stages on the ellipses of seed 1000·N (N = 200-3200), on the
+    base ellipses of the perfbench convex workload (N = 80-320, best of 20)
+    and on gen_convex_worst (N = 200-3200), where about a third of the
+    pairs get split."""
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    from helpers import gen_convex_worst
+    scaling = {str(n): convex_stages(*ellipse(1000 * n, n)) for n in CONVEX_SIZES}
+    workload = {f"ellipse{n}#{r}": convex_stages(*ellipse(1000 * n + r, n), reps=20)
+                for n in STAGE_SIZES for r in range(2)}
+    worst = {}
+    for n in CONVEX_SIZES:
+        inst = gen_convex_worst(n, n)
+        worst[str(n)] = convex_stages(inst.R.pts.tolist(), inst.B.pts.tolist())
+    return {"ellipses": scaling, "workload": workload, "worst": worst}
+
+
+def perfbench_medians(folder):
+    """Per workload, the median of each end-to-end metric over the
+    untraced perfbench records in folder, with the seeds and whether every
+    op was correct."""
+    runs = {}
+    for path in sorted(glob.glob(os.path.join(folder, "*-trace0.json"))):
+        with open(path) as fh:
+            rec = json.load(fh)
+        runs.setdefault(rec["workload"], []).append(rec)
+    out = {}
+    for wl, recs in runs.items():
+        names = recs[0]["end_to_end"]
+        out[wl] = {"seeds": [r["seed"] for r in recs],
+                   "all_correct": not any(op["wrong"] for r in recs for op in r["ops"]),
+                   **{k: {"median": statistics.median(r["end_to_end"][k][0] for r in recs),
+                          "runs": [r["end_to_end"][k][0] for r in recs],
+                          "unit": names[k][1]} for k in names}}
+    return out
+
+
+def update_bench(path, section, label, value):
+    """Store value under [section][label] of the JSON file at path."""
+    data = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            data = json.load(fh)
+    data.setdefault(section, {})[label] = value
+    data["environment"] = f"Python {platform.python_version()}, {platform.system()} " \
+                          f"{platform.machine()}, {os.cpu_count()} CPUs, single process"
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def solve_s(r):
+    return r["check"] + r["pairs"] + r["splits_merge"]
+
+
+def stage_table(fh, rows):
+    fh.write("| instance | build | convexity | tangent_pairs | splits + merges "
+             "| pairs | pairs split |\n|---|---:|---:|---:|---:|---:|---:|\n")
+    for name, r in rows.items():
+        fh.write(f"| {name} | {r['build'] * 1e3:.2f} | {r['check'] * 1e3:.3f} "
+                 f"| {r['pairs'] * 1e3:.2f} | {r['splits_merge'] * 1e3:.2f} "
+                 f"| {r['n_pairs']} | {r['n_split']} |\n")
 
 
 def library_lines():
@@ -228,6 +320,23 @@ def slope(sizes, times):
 
 
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--stages", metavar="LABEL",
+                    help="only time the convex stages and store them under LABEL")
+    ap.add_argument("--perfbench", nargs=2, metavar=("LABEL", "DIR"),
+                    help="only store the medians of the perfbench records in DIR")
+    ap.add_argument("--bench", default=os.path.join(ROOT, "BENCH_39.json"),
+                    help="the BENCH file --stages and --perfbench write to")
+    args = ap.parse_args()
+    if args.stages:
+        update_bench(args.bench, "convex_stages", args.stages, bench_stages())
+        print(f"wrote convex stages '{args.stages}' to {os.path.normpath(args.bench)}")
+        return
+    if args.perfbench:
+        label, folder = args.perfbench
+        update_bench(args.bench, "perfbench", label, perfbench_medians(folder))
+        print(f"wrote perfbench medians '{label}' to {os.path.normpath(args.bench)}")
+        return
     rows = [(n, *bench(n)) for n in SIZES]
     s_m = slope(SIZES, [r[1] for r in rows])
     s_p = slope(SIZES, [r[2] for r in rows])
@@ -237,9 +346,10 @@ def main():
     grows = [bench_scaling(n) for n in SCALING_N]
     s_t = slope([r[0] for r in grows], [r[1] for r in grows])
     s_h = slope([r[0] for r in grows], [r[2] for r in grows])
-    crows = [(n, *bench_convex(n)) for n in CONVEX_SIZES]
-    s_b = slope(CONVEX_SIZES, [r[1] for r in crows])
-    s_s = slope(CONVEX_SIZES, [r[2] for r in crows])
+    stages = bench_stages()
+    crows = [stages["ellipses"][str(n)] for n in CONVEX_SIZES]
+    s_b = slope(CONVEX_SIZES, [r["build"] for r in crows])
+    s_s = slope(CONVEX_SIZES, [solve_s(r) for r in crows])
     mods = library_lines()
     out = os.path.join(os.path.dirname(__file__), "..", "docs", "benchmark.md")
     os.makedirs(os.path.dirname(out), exist_ok=True)
@@ -320,21 +430,33 @@ def main():
         fh.write(f"\nLog-log slope over the full range: total {s_t:.3f}, "
                  f"Hausdorff {s_h:.3f}.\n\n")
         fh.write("## Convex polygons\n\n")
-        fh.write("Wall time (best of %d runs) of `build_instance` and of\n"
-                 "`convex_frechet` on a fresh instance, for an ellipse with N\n"
-                 "boundary vertices split at a random vertex (seed 1000·N).\n"
-                 "The target for both is a log-log slope of at most 1.2. The\n"
-                 "solver splits a tangent pair only while its d* could still\n"
-                 "undercut the lowest pending bound and the best cost; the\n"
-                 "last two columns count the pairs of the caliper sweep and\n"
-                 "those split.\n\n"
-                 % REPS)
-        fh.write("| N | build_instance (s) | convex_frechet (s) | pairs | pairs split |\n")
-        fh.write("|---:|---:|---:|---:|---:|\n")
-        for (n, tb, ts, npairs, nsplit) in crows:
-            fh.write(f"| {n} | {tb:.4f} | {ts:.4f} | {npairs} | {nsplit} |\n")
+        fh.write("Wall time in ms (best of %d runs, fresh instance each) of the\n"
+                 "stages of a convex solve, for an ellipse with N boundary\n"
+                 "vertices split at a random vertex (seed 1000·N):\n"
+                 "`build_instance`, the convexity check, `tangent_pairs`, and\n"
+                 "the pair splits and merges of the rest of `convex_frechet`.\n"
+                 "The target for build and solve (the last three stages) is a\n"
+                 "log-log slope of at most 1.2. The solver splits a tangent\n"
+                 "pair only while its d* could still undercut the lowest\n"
+                 "pending bound and the best cost; the last two columns count\n"
+                 "the pairs of the caliper sweep and those split.\n\n"
+                 % STAGE_REPS)
+        stage_table(fh, {f"N = {n}": r for n, r in zip(CONVEX_SIZES, crows)})
         fh.write(f"\nLog-log slope over the full range: build {s_b:.3f}, "
                  f"solve {s_s:.3f}.\n\n")
+        fh.write("The base ellipses of the perfbench `convex` workload (N =\n"
+                 "80-320, before placement), best of 20:\n\n")
+        stage_table(fh, stages["workload"])
+        worst = [stages["worst"][str(n)] for n in CONVEX_SIZES]
+        fh.write("\n`gen_convex_worst` (in `tests/helpers.py`): a thin ellipse\n"
+                 "split near the ends of its minor axis, where about a third\n"
+                 "of the tangent pairs have d* below the Fréchet distance, so\n"
+                 "`convex_frechet` splits them all (best of %d).\n\n" % STAGE_REPS)
+        stage_table(fh, {f"N = {n}": r for n, r in zip(CONVEX_SIZES, worst)})
+        fh.write(f"\nLog-log slope of the splits and merges over the full range: "
+                 f"{slope(CONVEX_SIZES, [r['splits_merge'] for r in worst]):.3f}. A split\n"
+                 "is O(N) array work, but at these sizes its fixed cost\n"
+                 "dominates, so the quadratic term does not show yet.\n\n")
         fh.write("## Library size\n\nLines of each module under "
                  "`src/geofrechet`.\n\n| module | lines |\n|---|---:|\n")
         for name, lines in mods:

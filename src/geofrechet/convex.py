@@ -1,12 +1,20 @@
 """Exact Fréchet matching for curves bounding a convex polygon.
 
-`tangent_pairs` is a rotating-calipers sweep (Toussaint 1983). The caliper
-normal turns through every edge normal of the boundary and the midpoints
-between consecutive ones, sorted once in O(N log N). The two contact
-pointers, one per supporting line, only advance along the CCW cycle, so a
-step costs O(1) amortized plus the size of its contact sets; whether a
-contact lies on R or on B, and its curve parameter, is read off its
-boundary index.
+`tangent_pairs` is a rotating-calipers sweep (Toussaint 1983) done as
+array code over all caliper directions at once. The caliper normal turns
+through every edge normal of the boundary and the midpoints between
+consecutive ones, sorted once in O(N log N). The outward edge normals of
+a convex cycle turn monotonically, so each direction's extreme vertex on
+either supporting line is found by binary search over their angles, in
+O(N log N) for all directions. A direction's contact set, the vertices
+within a tolerance of its supporting line, is read from a window of
+indices around that vertex; the window is sized once from the longest run
+of near-collinear vertices, and a contact set that reaches its window's
+edge is measured again in a wider one. Whether a contact lies on R or on
+B, and its curve parameter, is read off its boundary index. The closest
+points of the two contact segments are computed for all directions as
+arrays, and repeated pairs are dropped before the pairs are turned into
+curve parameters one by one.
 
 Each antipodal tangent pair splits a matching into two endpoint fans around
 the shared endpoints and a middle part that matches points lying on a
@@ -20,7 +28,9 @@ builds a pair's full matching in increasing bound only while that bound is
 below the best cost found, which is one merge unless bounds tie. The
 minimum over all caliper pairs is the exact Fréchet distance. The sweep and
 the sort by d* take O(N log N); a split is still O(N) numpy work, so the
-worst case stays O(N^2), but the benchmark ellipses split one pair each.
+worst case stays O(N^2): the benchmark ellipses split one pair each, but
+a thin ellipse split near the ends of its minor axis splits about a third
+of its pairs (`gen_convex_worst` in the tests).
 """
 from __future__ import annotations
 
@@ -32,7 +42,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import MatchingPath, ParamPoint, Point2, PolygonInstance, boundary_params
-from .geodesic import get_engine
 
 _TOL = 1e-9
 _ON_CURVE_TOL = 1e-7  # a point this close to a curve edge lies on it
@@ -43,26 +52,6 @@ class TangentPair:
     r_star: Point2
     b_star: Point2
     direction: Point2  # unit direction of the parallel tangent lines
-
-
-def _seg_seg_closest(a0, a1, b0, b1):
-    """Closest pair of points between segments a0-a1 and b0-b1."""
-    def pt_on_seg(p, s0, s1):
-        dx, dy = s1[0] - s0[0], s1[1] - s0[1]
-        L2 = dx * dx + dy * dy
-        t = 0.0 if L2 == 0 else min(max(((p[0] - s0[0]) * dx + (p[1] - s0[1]) * dy) / L2, 0.0), 1.0)
-        return (s0[0] + t * dx, s0[1] + t * dy)
-
-    cands = []
-    for p in (a0, a1):
-        q = pt_on_seg(p, b0, b1)
-        cands.append((p, q))
-    for q in (b0, b1):
-        p = pt_on_seg(q, a0, a1)
-        cands.append((p, q))
-    # parallel overlap handled by the endpoint projections above
-    best = min(cands, key=lambda pq: math.hypot(pq[0][0] - pq[1][0], pq[0][1] - pq[1][1]))
-    return best
 
 
 def _param_between(curve, pt, p0, p1):
@@ -86,60 +75,133 @@ def _param_between(curve, pt, p0, p1):
 
 
 def _check_convex(inst: PolygonInstance):
-    if inst.degenerate:
-        return
-    if not get_engine(inst).convex:
+    if not inst.degenerate and not inst.convex:
         raise ValueError("instance is not convex")
 
 
-def _caliper_directions(xy):
+def _round(x, ndigits):
+    """round(v, ndigits) of every value v of the array x, bit for bit.
+
+    rint(x * 10**ndigits) is the correctly rounded decimal wherever that
+    product lies farther than its rounding error from a half-integer, and
+    dividing it by 10**ndigits gives the double nearest that decimal, as
+    round() does; the other values (among them every value of 2**51 or
+    more after scaling) go through round()."""
+    scale = 10.0 ** ndigits
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x * scale
+        out = np.rint(q) / scale
+        # an overflowed q gives nan here and goes through round() too
+        tie = ~(np.abs(np.abs(q - np.floor(q)) - 0.5) > 4 * np.spacing(np.abs(q)))
+    for i in np.flatnonzero(tie).tolist():
+        out.flat[i] = round(float(x.flat[i]), ndigits)
+    return out
+
+
+def _caliper_directions(bd):
     """Caliper normal angles in [0, pi): every edge normal plus the
     midpoints between consecutive normals (vertex-vertex antipodal
-    events), rounded to 12 decimals and sorted."""
-    nb = len(xy)
-    angles = set()
-    for k in range(nb):
-        a, b = xy[k], xy[(k + 1) % nb]
-        theta = math.atan2(b[1] - a[1], b[0] - a[0])
-        angles.add((theta + 0.5 * math.pi) % math.pi)
-        angles.add((theta - 0.5 * math.pi) % math.pi)
-    ang = sorted(angles)
-    mids = [(ang[k] + ang[(k + 1) % len(ang)] + (math.pi if k + 1 == len(ang) else 0)) * 0.5 % math.pi
-            for k in range(len(ang))]
-    return sorted(set(round(t, 12) for t in ang + mids))
+    events), rounded to 12 decimals, sorted and without repeats."""
+    theta = np.array([math.atan2(dy, dx) for dx, dy in (np.roll(bd, -1, axis=0) - bd).tolist()])
+    ang = np.unique(np.concatenate(((theta + 0.5 * math.pi) % math.pi,
+                                    (theta - 0.5 * math.pi) % math.pi)))
+    wrap = np.zeros(len(ang))
+    wrap[-1] = math.pi
+    mids = (ang + np.roll(ang, -1) + wrap) * 0.5 % math.pi
+    return np.unique(_round(np.concatenate((ang, mids)), 12))
 
 
-def _advance(xy, k, c, s):
-    """Move the contact pointer k forward along the CCW cycle while the
-    next vertex reaches at least as far in direction (c, s)."""
-    nb = len(xy)
-    v = xy[k][0] * c + xy[k][1] * s
-    for _ in range(nb):
-        j = (k + 1) % nb
-        w = xy[j][0] * c + xy[j][1] * s
-        if w < v:
-            break
-        k, v = j, w
-    return k
+def _extreme_vertices(bd, angles):
+    """Per angle in [0, 2*pi), a boundary vertex reaching farthest in that
+    direction: the start of the first edge whose outward normal angle is
+    at least the angle. The normals turn CCW along the cycle; rounding
+    noise is evened out by a running maximum."""
+    nb = len(bd)
+    d = np.roll(bd, -1, axis=0) - bd
+    psi = np.arctan2(-d[:, 0], d[:, 1]) % (2 * math.pi)
+    order = np.roll(np.arange(nb), -int(np.argmin(psi)))
+    ks = np.searchsorted(np.maximum.accumulate(psi[order]), angles % (2 * math.pi))
+    return order[ks % nb]
 
 
-def _contact(xy, k, c, s, tol):
-    """Sorted indices of the boundary vertices within tol of the maximum of
-    x*c + y*s, grown from the extreme vertex k over the contiguous arc
-    around it."""
-    nb = len(xy)
-    top = xy[k][0] * c + xy[k][1] * s
-    arc = {k: top}
-    for step in (1, -1):
-        j = (k + step) % nb
-        while j not in arc:
-            v = xy[j][0] * c + xy[j][1] * s
-            if v < top - tol:
-                break
-            arc[j] = v
-            top = max(top, v)
-            j = (j + step) % nb
-    return sorted(j for j, v in arc.items() if abs(v - top) <= tol)
+def _flat_run(bd):
+    """Longest run of consecutive boundary vertices that lie within the
+    contact tolerance of the chord between their neighbours."""
+    a, c = np.roll(bd, 1, axis=0), np.roll(bd, -1, axis=0)
+    u, w = bd - a, c - a
+    det = np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    flat = det <= 4e-9 * max(1.0, float(np.abs(bd).max())) * np.hypot(w[:, 0], w[:, 1])
+    if flat.all():
+        return len(bd)
+    # run lengths over the cycle read twice
+    edges = np.diff(np.concatenate(([0], flat, flat, [0])).astype(np.int8))
+    return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0))
+
+
+def _contact_ends(bd, on_r, on_b, k_hi, k_lo, c, s, h):
+    """For the directions (c, s) with extreme vertices k_hi (farthest
+    along (c, s)) and k_lo (farthest against it): an (8, k) array of the
+    first and last index of the contact vertices on R and on B, at the
+    high side and then at the low side (nb and -1 where there are none),
+    and whether a contact set reached the edge of its window k +- h, so
+    that it may go on beyond.
+
+    A contact vertex lies within tol of its side's maximum, tol =
+    1e-9 * max(1, |top dot of either side|); the dot products are those of
+    the scalar x*c + y*s."""
+    nb = len(bd)
+    full = 2 * h + 1 >= nb
+    off = np.arange(nb) - nb // 2 if full else np.arange(-h, h + 1)
+    sides = []
+    for k, sign in ((k_hi, 1.0), (k_lo, -1.0)):
+        idx = (k[:, None] + off) % nb
+        v = sign * (bd[idx, 0] * c[:, None] + bd[idx, 1] * s[:, None])
+        sides.append((idx, v, v.max(axis=1)))
+    tol = 1e-9 * np.maximum(np.maximum(np.abs(sides[0][2]), np.abs(sides[1][2])), 1.0)
+    ends, hit = [], np.zeros(len(c), dtype=bool)
+    for idx, v, top in sides:
+        near = np.abs(v - top[:, None]) <= tol[:, None]
+        if not full:
+            hit |= near[:, 0] | near[:, -1]
+        for on in (on_r, on_b):
+            mine = near & on[idx]
+            ends += [np.where(mine, idx, nb).min(axis=1), np.where(mine, idx, -1).max(axis=1)]
+    return np.array(ends), hit
+
+
+def _foot(P, S0, S1):
+    """The point of segment S0-S1 closest to P, row by row: the clamped
+    projection, S0 itself where the segment is a point."""
+    dx, dy = (S1 - S0).T
+    L2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((P[:, 0] - S0[:, 0]) * dx + (P[:, 1] - S0[:, 1]) * dy) / L2
+    t = np.where(0.0 > t, 0.0, t)
+    t = np.where(t > 1.0, 1.0, t)
+    t = np.where(L2 == 0, 0.0, t)
+    return np.stack([S0[:, 0] + t * dx, S0[:, 1] + t * dy], axis=1)
+
+
+def _closest_pairs(a0, a1, b0, b1):
+    """Closest pair of points between the segments a0-a1 and b0-b1, row
+    by row, as a (k, 4) array of (r, b) rows. The candidates are each
+    segment end with its foot on the other segment, in the order a0, a1,
+    b0, b1; the first at the least math.hypot distance wins. np.hypot
+    may differ from it in the last bit, so where distinct candidates lie
+    within rounding of the least distance, math.hypot decides."""
+    P = np.stack([a0, a1, _foot(b0, a0, a1), _foot(b1, a0, a1)], axis=1)
+    Q = np.stack([_foot(a0, b0, b1), _foot(a1, b0, b1), b0, b1], axis=1)
+    cand = np.concatenate([P, Q], axis=2)  # (k, 4 candidates, 4)
+    dist = np.hypot(P[..., 0] - Q[..., 0], P[..., 1] - Q[..., 1])
+    j = np.argmin(dist, axis=1)
+    rows = np.arange(len(j))
+    out = cand[rows, j]
+    near = dist <= dist[rows, j][:, None] * (1 + 1e-12)
+    tied = (near & (cand != out[:, None, :]).any(axis=2)).any(axis=1)
+    for i in np.flatnonzero(tied).tolist():
+        d = (P[i] - Q[i]).tolist()
+        out[i] = cand[i, min(range(4), key=lambda t: math.hypot(*d[t]))]
+    return out
 
 
 def tangent_pairs(inst: PolygonInstance) -> list[TangentPair]:
@@ -148,41 +210,53 @@ def tangent_pairs(inst: PolygonInstance) -> list[TangentPair]:
     _check_convex(inst)
     if inst.degenerate:
         return []
-    xy = inst.boundary.tolist()
+    bd = inst.boundary
     rpar, bpar = boundary_params(inst)
-    directions = _caliper_directions(xy)
-    # the two contact pointers of the caliper: as the normal turns CCW
-    # through [0, pi) each one advances monotonically along the CCW cycle
-    c, s = math.cos(directions[0]), math.sin(directions[0])
-    dots = [x * c + y * s for x, y in xy]
-    hi = dots.index(max(dots))
-    lo = dots.index(min(dots))
+    on_r = np.array([p is not None for p in rpar])
+    on_b = np.array([p is not None for p in bpar])
+    theta = _caliper_directions(bd)
+    cos = [math.cos(t) for t in theta.tolist()]
+    sin = [math.sin(t) for t in theta.tolist()]
+    c, s = np.array(cos), np.array(sin)
+    k_hi = _extreme_vertices(bd, theta)
+    k_lo = _extreme_vertices(bd, theta + math.pi)
 
+    # contact ends per direction; a direction whose contact set reaches
+    # its window is measured again in a window twice as wide
+    contact = np.empty((8, len(theta)), dtype=np.intp)
+    todo = np.arange(len(theta))
+    h = _flat_run(bd) + 2
+    while len(todo):
+        contact[:, todo], hit = _contact_ends(bd, on_r, on_b, k_hi[todo], k_lo[todo],
+                                              c[todo], s[todo], h)
+        todo, h = todo[hit], 2 * h
+    hi_r0, hi_r1, hi_b0, hi_b1, lo_r0, lo_r1, lo_b0, lo_b1 = contact
+
+    # per direction the R contacts of the high side with the B contacts of
+    # the low side, then the other way round; keep the rows with both
+    r0 = np.stack([hi_r0, lo_r0], axis=1).ravel()
+    r1 = np.stack([hi_r1, lo_r1], axis=1).ravel()
+    b0 = np.stack([lo_b0, hi_b0], axis=1).ravel()
+    b1 = np.stack([lo_b1, hi_b1], axis=1).ravel()
+    rows = np.flatnonzero((r1 >= 0) & (b1 >= 0))
+    r0, r1, b0, b1 = r0[rows], r1[rows], b0[rows], b1[rows]
+    pq = _closest_pairs(bd[r0], bd[r1], bd[b0], bd[b1])
+    # consecutive directions mostly touch the same vertices; a row equal
+    # to the one before it has the same key, so it is dropped here already
+    first = np.flatnonzero(np.concatenate(([True], (pq[1:] != pq[:-1]).any(axis=1))))
+    pq = pq[first]
+    ends = np.stack([r0, r1, b0, b1, rows // 2])[:, first].T.tolist()
     seen = set()
     out = []
-    for theta in directions:
-        c, s = math.cos(theta), math.sin(theta)
-        hi = _advance(xy, hi, c, s)
-        lo = _advance(xy, lo, -c, -s)
-        tol = 1e-9 * max(1.0, abs(xy[hi][0] * c + xy[hi][1] * s),
-                         abs(xy[lo][0] * c + xy[lo][1] * s))
-        hi_ks = _contact(xy, hi, c, s, tol)
-        lo_ks = _contact(xy, lo, -c, -s, tol)
-        for (rk, bk) in ((hi_ks, lo_ks), (lo_ks, hi_ks)):
-            rk = [k for k in rk if rpar[k] is not None]
-            bk = [k for k in bk if bpar[k] is not None]
-            if not rk or not bk:
-                continue
-            rp, bp = _seg_seg_closest(xy[rk[0]], xy[rk[-1]], xy[bk[0]], xy[bk[-1]])
-            key = (round(rp[0], 9), round(rp[1], 9), round(bp[0], 9), round(bp[1], 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            xr = _param_between(inst.R, rp, rpar[rk[0]], rpar[rk[-1]])
-            yb = _param_between(inst.B, bp, bpar[bk[0]], bpar[bk[-1]])
-            tang = (-math.sin(theta), math.cos(theta))
-            out.append(((xr if xr is not None else 0.0, -(yb if yb is not None else 0.0)),
-                        TangentPair(Point2(*rp), Point2(*bp), Point2(*tang))))
+    for (i0, i1, j0, j1, d), (rx, ry, bx, by), key in zip(ends, pq.tolist(),
+                                                          map(tuple, _round(pq, 9).tolist())):
+        if key in seen:
+            continue
+        seen.add(key)
+        xr = _param_between(inst.R, (rx, ry), rpar[i0], rpar[i1])
+        yb = _param_between(inst.B, (bx, by), bpar[j0], bpar[j1])
+        out.append(((xr if xr is not None else 0.0, -(yb if yb is not None else 0.0)),
+                    TangentPair(Point2(rx, ry), Point2(bx, by), Point2(-sin[d], cos[d]))))
 
     out.sort(key=lambda kp: kp[0])
     return [pair for _, pair in out]

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import PolygonInstance, PolyCurve, Point2, orient
+from .geometry import PolygonInstance, PolyCurve, Point2
 
 PAR_TOL = 1e-10
 DIST_TOL = 1e-9
@@ -232,12 +232,7 @@ class GeodesicEngine:
                      in zip(xy, xy[1:] + xy[:1])] if nb >= 3 else []
         span = float((bd.max(0) - bd.min(0)).max())  # E of LOC_TOL
         self._loc_tol = -LOC_TOL * float(abs(bd).max()) * span
-        # convexity: all boundary turns non-right (CCW cycle)
-        self.convex = True
-        for k in range(nb):
-            if orient(bd[k - 1], bd[k], bd[(k + 1) % nb]) < -1e-12:
-                self.convex = False
-                break
+        self.convex = inst.convex
 
     # -- point location ----------------------------------------------------
     def _locate(self, p) -> tuple:

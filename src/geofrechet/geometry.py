@@ -174,13 +174,29 @@ def _curves_cross(R: "PolyCurve", B: "PolyCurve") -> bool:
                for i, j in _bbox_pairs(segs))
 
 
-def _merge_duplicates(pts) -> list[list[float]]:
-    out = [list(map(float, pts[0]))]
-    for p in pts[1:]:
-        q = list(map(float, p))
-        if q != out[-1]:
-            out.append(q)
-    return out
+def _merge_duplicates(curve: PolyCurve) -> PolyCurve:
+    """The curve with every run of equal consecutive vertices cut to its
+    first vertex (-0.0 equals 0.0)."""
+    pts = curve.pts
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    return PolyCurve(pts[keep])
+
+
+def is_convex_cycle(poly: np.ndarray) -> bool:
+    """No turn of the closed polygon is clockwise: every
+    orient(poly[k-1], poly[k], poly[k+1]) >= -1e-12. The determinants are
+    taken as arrays with the arithmetic of orient; the few within
+    ORIENT_EPS of zero go through its fsum fallback."""
+    a = np.roll(poly, 1, axis=0)
+    c = np.roll(poly, -1, axis=0)
+    u, w = poly - a, c - a
+    det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    scale = np.maximum(np.maximum(np.abs(u), np.abs(w)).max(axis=1), 1.0)
+    near = np.abs(det) <= ORIENT_EPS * scale
+    if (det[~near] < -1e-12).any():
+        return False
+    return all(orient(a[k], poly[k], c[k]) >= -1e-12 for k in np.flatnonzero(near).tolist())
 
 
 def _signed_area(poly: np.ndarray) -> float:
@@ -352,6 +368,11 @@ class PolygonInstance:
     def area(self) -> float:
         return abs(_signed_area(self.boundary))
 
+    @cached_property
+    def convex(self) -> bool:
+        """The boundary cycle turns clockwise nowhere (is_convex_cycle)."""
+        return is_convex_cycle(self.boundary)
+
 
 def _collinear_monotone(curve: PolyCurve, a, b) -> bool:
     d = np.array([b[0] - a[0], b[1] - a[1]])
@@ -371,12 +392,8 @@ def build_instance(R, B) -> PolygonInstance:
     on endpoint mismatch, self-intersection, crossing curves, or a
     degenerate polygon that is not a collinear strip.
     """
-    R = R if isinstance(R, PolyCurve) else PolyCurve(_merge_duplicates(np.asarray(R, dtype=float)))
-    B = B if isinstance(B, PolyCurve) else PolyCurve(_merge_duplicates(np.asarray(B, dtype=float)))
-    R = PolyCurve(_merge_duplicates(R.pts))
-    B = PolyCurve(_merge_duplicates(B.pts))
-    if R.n < 1 or B.n < 1:
-        raise ValueError("empty curve")
+    R = _merge_duplicates(R if isinstance(R, PolyCurve) else PolyCurve(R))
+    B = _merge_duplicates(B if isinstance(B, PolyCurve) else PolyCurve(B))
     tol = 1e-9
     if (math.hypot(R.pts[0, 0] - B.pts[0, 0], R.pts[0, 1] - B.pts[0, 1]) > tol or
             math.hypot(R.pts[-1, 0] - B.pts[-1, 0], R.pts[-1, 1] - B.pts[-1, 1]) > tol):

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
+import os
 import random
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -668,6 +671,171 @@ def ear_clip_reference(poly):
         if orient(poly[idx[0]], poly[idx[1]], poly[idx[2]]) > 0:
             tris.append((idx[0], idx[1], idx[2]))
     return tris
+
+
+def seg_seg_closest_reference(a0, a1, b0, b1):
+    """Closest pair of points between segments a0-a1 and b0-b1."""
+    def pt_on_seg(p, s0, s1):
+        dx, dy = s1[0] - s0[0], s1[1] - s0[1]
+        L2 = dx * dx + dy * dy
+        t = 0.0 if L2 == 0 else min(max(((p[0] - s0[0]) * dx + (p[1] - s0[1]) * dy) / L2, 0.0), 1.0)
+        return (s0[0] + t * dx, s0[1] + t * dy)
+
+    cands = []
+    for p in (a0, a1):
+        q = pt_on_seg(p, b0, b1)
+        cands.append((p, q))
+    for q in (b0, b1):
+        p = pt_on_seg(q, a0, a1)
+        cands.append((p, q))
+    # parallel overlap handled by the endpoint projections above
+    best = min(cands, key=lambda pq: math.hypot(pq[0][0] - pq[1][0], pq[0][1] - pq[1][1]))
+    return best
+
+
+def caliper_directions_reference(xy):
+    """Caliper normal angles in [0, pi): every edge normal plus the
+    midpoints between consecutive normals, rounded to 12 decimals and
+    sorted, one vertex at a time."""
+    nb = len(xy)
+    angles = set()
+    for k in range(nb):
+        a, b = xy[k], xy[(k + 1) % nb]
+        theta = math.atan2(b[1] - a[1], b[0] - a[0])
+        angles.add((theta + 0.5 * math.pi) % math.pi)
+        angles.add((theta - 0.5 * math.pi) % math.pi)
+    ang = sorted(angles)
+    mids = [(ang[k] + ang[(k + 1) % len(ang)] + (math.pi if k + 1 == len(ang) else 0)) * 0.5 % math.pi
+            for k in range(len(ang))]
+    return sorted(set(round(t, 12) for t in ang + mids))
+
+
+def _advance(xy, k, c, s):
+    """Move the contact pointer k forward along the CCW cycle while the
+    next vertex reaches at least as far in direction (c, s)."""
+    nb = len(xy)
+    v = xy[k][0] * c + xy[k][1] * s
+    for _ in range(nb):
+        j = (k + 1) % nb
+        w = xy[j][0] * c + xy[j][1] * s
+        if w < v:
+            break
+        k, v = j, w
+    return k
+
+
+def _contact(xy, k, c, s, tol):
+    """Sorted indices of the boundary vertices within tol of the maximum of
+    x*c + y*s, grown from the extreme vertex k over the contiguous arc
+    around it."""
+    nb = len(xy)
+    top = xy[k][0] * c + xy[k][1] * s
+    arc = {k: top}
+    for step in (1, -1):
+        j = (k + step) % nb
+        while j not in arc:
+            v = xy[j][0] * c + xy[j][1] * s
+            if v < top - tol:
+                break
+            arc[j] = v
+            top = max(top, v)
+            j = (j + step) % nb
+    return sorted(j for j, v in arc.items() if abs(v - top) <= tol)
+
+
+def tangent_pairs_sweep(inst):
+    """convex.tangent_pairs as a scalar rotating-calipers sweep: two
+    contact pointers advance along the CCW cycle, one caliper direction at
+    a time, and each direction's contact sets are grown from them."""
+    convex._check_convex(inst)
+    if inst.degenerate:
+        return []
+    xy = inst.boundary.tolist()
+    rpar, bpar = geometry.boundary_params(inst)
+    directions = caliper_directions_reference(xy)
+    c, s = math.cos(directions[0]), math.sin(directions[0])
+    dots = [x * c + y * s for x, y in xy]
+    hi = dots.index(max(dots))
+    lo = dots.index(min(dots))
+
+    seen = set()
+    out = []
+    for theta in directions:
+        c, s = math.cos(theta), math.sin(theta)
+        hi = _advance(xy, hi, c, s)
+        lo = _advance(xy, lo, -c, -s)
+        tol = 1e-9 * max(1.0, abs(xy[hi][0] * c + xy[hi][1] * s),
+                         abs(xy[lo][0] * c + xy[lo][1] * s))
+        hi_ks = _contact(xy, hi, c, s, tol)
+        lo_ks = _contact(xy, lo, -c, -s, tol)
+        for (rk, bk) in ((hi_ks, lo_ks), (lo_ks, hi_ks)):
+            rk = [k for k in rk if rpar[k] is not None]
+            bk = [k for k in bk if bpar[k] is not None]
+            if not rk or not bk:
+                continue
+            rp, bp = seg_seg_closest_reference(xy[rk[0]], xy[rk[-1]], xy[bk[0]], xy[bk[-1]])
+            key = (round(rp[0], 9), round(rp[1], 9), round(bp[0], 9), round(bp[1], 9))
+            if key in seen:
+                continue
+            seen.add(key)
+            xr = convex._param_between(inst.R, rp, rpar[rk[0]], rpar[rk[-1]])
+            yb = convex._param_between(inst.B, bp, bpar[bk[0]], bpar[bk[-1]])
+            tang = (-math.sin(theta), math.cos(theta))
+            out.append(((xr if xr is not None else 0.0, -(yb if yb is not None else 0.0)),
+                        convex.TangentPair(geometry.Point2(*rp), geometry.Point2(*bp),
+                                           geometry.Point2(*tang))))
+
+    out.sort(key=lambda kp: kp[0])
+    return [pair for _, pair in out]
+
+
+def gen_convex_worst(n, seed):
+    """A convex instance on which about a third of the tangent pairs have
+    d* below the Frechet distance, so convex_frechet splits them all.
+
+    n points on the ellipse (cos t, b sin t), b in [0.05, 0.2], at jittered
+    even angles from t = -pi/2, split near the ends of the minor axis: R
+    is the right half, B the left one. Antipodal contacts t and t + pi lie
+    on different curves at d* = 2 sqrt(cos^2 t + b^2 sin^2 t), while
+    d_F >= 1 - O(1/n): when R is at its tip (1, 0), B is on the left half,
+    whose points closest to the tip are near (0, +-b). So every pair with
+    |cos t| < 1/2 has d* below d_F."""
+    rng = random.Random(seed)
+    b = rng.uniform(0.05, 0.2)
+    pts = [(math.cos(t), b * math.sin(t)) for t in
+           (2 * math.pi * (i + rng.uniform(0.1, 0.9)) / n - 0.5 * math.pi for i in range(n))]
+    k = n // 2
+    return geometry.build_instance(pts[:k + 1], [pts[0]] + pts[k:][::-1])
+
+
+def merge_duplicates_reference(pts):
+    """The vertex list with each run of equal consecutive vertices cut to
+    its first, as a Python loop over lists."""
+    out = [list(map(float, pts[0]))]
+    for p in pts[1:]:
+        q = list(map(float, p))
+        if q != out[-1]:
+            out.append(q)
+    return out
+
+
+def convex_flag_reference(poly):
+    """No boundary turn clockwise by more than 1e-12, by orient() vertex by
+    vertex."""
+    nb = len(poly)
+    return not any(orient(poly[k - 1], poly[k], poly[(k + 1) % nb]) < -1e-12
+                   for k in range(nb))
+
+
+def perfbench_workloads():
+    """The benchmark's workloads module, loaded once from perfbench/."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def convex_frechet_all_pairs(inst):

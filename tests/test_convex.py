@@ -13,7 +13,8 @@ from geofrechet.generators import gen_convex
 from geofrechet.geometry import build_instance
 from geofrechet.oracle import freespace_decide, frechet_bisect
 
-from helpers import convex_frechet_all_pairs, matching_cost_euclid
+from helpers import (caliper_directions_reference, convex_frechet_all_pairs, gen_convex_worst,
+                     matching_cost_euclid, perfbench_workloads, tangent_pairs_sweep)
 
 
 def test_square_split():
@@ -109,15 +110,20 @@ def test_regular_even_polygon_exact(n, k):
     assert_exact(inst, convex_frechet(inst).cost)
 
 
-@pytest.mark.parametrize("k", [2, 5, 6, 9])
-def test_collinear_vertices_exact(k):
-    """A hexagon with every edge cut into three collinear pieces."""
+def collinear_hexagon(k):
+    """A hexagon with every edge cut into three collinear pieces, split at
+    vertices 0 and k."""
     corners = [(math.cos(math.pi * i / 3), 0.6 * math.sin(math.pi * i / 3))
                for i in range(6)]
     pts = []
     for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
         pts += [(x0 + (x1 - x0) * t, y0 + (y1 - y0) * t) for t in (0.0, 0.25, 0.6)]
-    inst = build_instance(*split_cycle(pts, k))
+    return build_instance(*split_cycle(pts, k))
+
+
+@pytest.mark.parametrize("k", [2, 5, 6, 9])
+def test_collinear_vertices_exact(k):
+    inst = collinear_hexagon(k)
     assert_exact(inst, convex_frechet(inst).cost)
 
 
@@ -286,3 +292,94 @@ def test_ellipses_split_few_pairs(monkeypatch, n, r):
     monkeypatch.setattr(convex, "_split", counted)
     convex_frechet(inst)
     assert len(seen) <= 0.15 * len(pairs)
+
+
+# -- the array sweep repeats the scalar sweep --------------------------------
+
+REGULAR_SPLITS = [(4, 2), (6, 3), (6, 2), (8, 4), (12, 5), (20, 10), (64, 32), (64, 17), (100, 50)]
+
+
+def long_collinear_run(k):
+    """A pentagon whose bottom edge is cut into 14 collinear pieces, split
+    at vertices 0 and k."""
+    pts = [(-1 + i / 7, -0.5) for i in range(15)] + [(1.2, 0.3), (0.3, 0.9), (-0.9, 0.4)]
+    return build_instance(*split_cycle(pts, k))
+
+
+def assert_matches_sweep(inst):
+    assert tangent_pairs(inst) == tangent_pairs_sweep(inst)
+    got = convex._caliper_directions(inst.boundary)
+    assert got.tolist() == caliper_directions_reference(inst.boundary.tolist())
+
+
+@pytest.mark.parametrize("ndigits", [9, 12])
+def test_array_round_is_round(ndigits):
+    """_round repeats round() bit for bit, signed zeros included: on
+    random values, on decimal half-points and their neighbours, and on
+    values too large for the array path."""
+    rng = random.Random(ndigits)
+    vals = [rng.uniform(-4, 4) for _ in range(20000)]
+    for _ in range(5000):
+        h = (rng.randint(-4 * 10 ** ndigits, 4 * 10 ** ndigits) + 0.5) / 10 ** ndigits
+        vals += [h, math.nextafter(h, -math.inf), math.nextafter(h, math.inf)]
+    vals += [0.0, -0.0, 1e-13, -1e-13, 5e-10, -5e-10, 3e6, -7.25e7 + 1e-9, 1e300]
+    got = convex._round(np.array(vals), ndigits)
+    want = np.array([round(v, ndigits) for v in vals])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_array_sweep_on_random_convex():
+    for seed in range(200):
+        assert_matches_sweep(gen_convex(random.Random(seed).randint(6, 40), seed))
+
+
+def test_array_sweep_on_ellipses():
+    """The benchmark's convex workload of seeds 1-10 (placed ellipses with
+    N = 80-320) and two larger ellipses."""
+    workloads = perfbench_workloads()
+    for seed in range(1, 11):
+        for item in workloads.make_items("convex", seed, 20):
+            assert_matches_sweep(build_instance(item.R, item.B))
+    for n in (1000, 3200):
+        assert_matches_sweep(ellipse_instance(1000 * n, n))
+
+
+@pytest.mark.parametrize("n,k", REGULAR_SPLITS)
+def test_array_sweep_on_regular_polygons(n, k):
+    """Edge-edge contacts on every direction; the square's window wraps
+    the whole boundary."""
+    assert_matches_sweep(regular_even_polygon(n, k))
+
+
+def test_array_sweep_on_collinear_runs(monkeypatch):
+    for k in (2, 5, 6, 9):
+        assert_matches_sweep(collinear_hexagon(k))
+    for k in (1, 7, 14, 15, 16):
+        assert_matches_sweep(long_collinear_run(k))
+    # too narrow a first window: the contact sets that reach it are
+    # measured again in wider ones
+    monkeypatch.setattr(convex, "_flat_run", lambda bd: 0)
+    for k in (1, 7, 14, 15, 16):
+        assert_matches_sweep(long_collinear_run(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(convex_instances, regular_instances))
+def test_array_sweep_matches_scalar_sweep(inst):
+    assert_matches_sweep(inst)
+
+
+# -- inputs on which many pairs must be split --------------------------------
+
+@pytest.mark.parametrize("n,seed", [(12, 0), (17, 1), (24, 2), (31, 3), (40, 4)])
+def test_worst_case_exact(n, seed):
+    """On gen_convex_worst at least a quarter of the tangent pairs have d*
+    below the cost, and the solver stays exact."""
+    inst = gen_convex_worst(n, seed)
+    cost = convex_frechet(inst).cost
+    assert cost == pytest.approx(frechet_bisect(inst, "euclidean", tol=1e-10), abs=1e-6)
+    pairs = tangent_pairs(inst)
+    below = [p for p in pairs
+             if math.hypot(p.r_star[0] - p.b_star[0], p.r_star[1] - p.b_star[1]) < cost]
+    assert len(below) >= 0.25 * len(pairs)
+    assert_matches_sweep(inst)

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geofrechet.generators import gen_pocket
-from geofrechet.geometry import (MatchingPath, ParamPoint, PolyCurve, boundary_params,
-                                 build_instance, ear_clip, instance_from_json_dict,
-                                 instance_to_json_dict)
+from geofrechet import geometry
+from geofrechet.generators import gen_convex, gen_pocket
+from geofrechet.geodesic import get_engine
+from geofrechet.geometry import (MatchingPath, ParamPoint, PolyCurve, _merge_duplicates,
+                                 boundary_params, build_instance, ear_clip,
+                                 instance_from_json_dict, instance_to_json_dict,
+                                 is_convex_cycle)
 
-from helpers import ear_clip_reference, reference_build_instance
+from helpers import (convex_flag_reference, ear_clip_reference, merge_duplicates_reference,
+                     perfbench_workloads, random_instance, reference_build_instance)
 
 
 SQUARE_R = [(0, 0), (1, 0)]
@@ -222,3 +226,95 @@ def test_boundary_params_locate_vertices(seed):
             for k, p in enumerate(par):
                 if p is not None:
                     assert tuple(inst.boundary[k]) == curve.vertex(p)
+
+
+# -- the convexity flag --------------------------------------------------------
+
+def near_collinear_polygons(rng):
+    """Rectangles of side 1-1e4, some translated by 1e6, with vertices
+    inserted on every edge and pushed off it by 0-1e-11 of the side
+    either way: their turns sit in orient's fsum band, and some of them
+    turn clockwise by more than 1e-12."""
+    out = []
+    for side in (1.0, 100.0, 1e4):
+        for shift in (0.0, 1e6):
+            for _ in range(10):
+                corners = [(0.0, 0.0), (side, 0.0), (side, 0.7 * side), (0.0, 0.7 * side)]
+                pts = []
+                for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+                    nx, ny = (y1 - y0) / side, (x0 - x1) / side  # outward unit normal
+                    pts.append((x0 + shift, y0))
+                    for t in (0.25, 0.5, 0.75):
+                        off = side * rng.choice((0.0, 1e-16, 1e-13, 1e-11)) * rng.choice((-1, 1))
+                        pts.append((x0 + (x1 - x0) * t + off * nx + shift, y0 + (y1 - y0) * t + off * ny))
+                out.append(np.array(pts))
+    return out
+
+
+def test_convex_flag_matches_orient_loop(monkeypatch):
+    """is_convex_cycle gives the flag of the orient() loop it replaced, on
+    the sweep instances, random convex polygons, the workload ellipses and
+    near-collinear boundaries where orient takes its fsum branch."""
+    workloads = perfbench_workloads()
+    polys = [random_instance(s, max_total=30).boundary for s in range(200)]
+    polys += [gen_convex(random.Random(s).randint(6, 40), s).boundary for s in range(200)]
+    polys += [build_instance(item.R, item.B).boundary
+              for item in workloads.make_items("convex", 1, 20)]
+    for poly in polys:
+        assert is_convex_cycle(poly) == convex_flag_reference(poly)
+    near = []
+    orient = geometry.orient
+    monkeypatch.setattr(geometry, "orient", lambda *a: near.append(a) or orient(*a))
+    flags = set()
+    for poly in near_collinear_polygons(random.Random(11)):
+        flags.add(is_convex_cycle(poly))
+        assert is_convex_cycle(poly) == convex_flag_reference(poly)
+    assert near and flags == {True, False}
+
+
+def test_engine_reads_instance_flag():
+    for inst in (gen_convex(12, 3), gen_pocket(2)):
+        assert get_engine(inst).convex is inst.convex
+
+
+# -- merging repeated vertices -------------------------------------------------
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (0, 0), (0, 0), (1, 0), (2, 1)],        # a run at the start
+    [(0, 0), (1, 0), (1, 0), (1, 0), (2, 1)],        # in the middle
+    [(0, 0), (1, 0), (2, 1), (2, 1)],                # at the end
+    [(0.0, 1.0), (-0.0, 1.0), (1.0, 1.0)],           # -0.0 equals 0.0
+    [(-0.0, 1.0), (0.0, 1.0), (1.0, -0.0), (1.0, 0.0)],
+    [(3.0, 4.0)],
+    [(3.0, 4.0)] * 5,
+])
+def test_merge_duplicates_matches_loop(pts):
+    """Each run of equal vertices keeps its first, signed zeros included."""
+    got = _merge_duplicates(PolyCurve(pts)).pts
+    want = np.array(merge_duplicates_reference(pts))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_build_merges_repeated_vertices():
+    """build_instance on curves with repeated vertices gives the instance
+    of the curves merged by the loop, and of the curves without repeats:
+    on the sweep instances and every workload instance of seed 1."""
+    workloads = perfbench_workloads()
+    curves = [(inst.R.pts.tolist(), inst.B.pts.tolist())
+              for inst in (random_instance(s, max_total=30) for s in range(200))]
+    curves += [(item.R, item.B) for wl in ("mixed", "grow", "ladder", "convex")
+               for item in workloads.make_items(wl, 1, 20)]
+    rng = random.Random(5)
+
+    def repeated(pts):
+        return [p for p in pts for _ in range(rng.choice((1, 1, 2, 3)))]
+
+    for R, B in curves:
+        R2, B2 = repeated(R), repeated(B)
+        got = build_instance(R2, B2)
+        for want in (build_instance(PolyCurve(merge_duplicates_reference(R2)),
+                                    PolyCurve(merge_duplicates_reference(B2))),
+                     build_instance(R, B)):
+            assert got.boundary.tobytes() == want.boundary.tobytes()
+            assert got.triangles == want.triangles
+            assert got.adjacency == want.adjacency
