@@ -8,10 +8,11 @@ a convex cycle turn monotonically, so each direction's extreme vertex on
 either supporting line is found by binary search over their angles, in
 O(N log N) for all directions. A direction's contact set, the vertices
 within a tolerance of its supporting line, is read from a window of
-indices around that vertex; the window is sized once from the longest run
-of near-collinear vertices, and a contact set that reaches its window's
-edge is measured again in a wider one. Whether a contact lies on R or on
-B, and its curve parameter, is read off its boundary index. The closest
+indices around that vertex, two to either side. A contact set that
+reaches its window's edge is measured again in one twice as wide, so only
+the directions with long contact sets pay for them, and the sweep's work
+and memory stay O(N + total contact size). Whether a contact lies on R or
+on B, and its curve parameter, is read off its boundary index. The closest
 points of the two contact segments are computed for all directions as
 arrays, and repeated pairs are dropped before the pairs are turned into
 curve parameters one by one.
@@ -124,20 +125,6 @@ def _extreme_vertices(bd, angles):
     return order[ks % nb]
 
 
-def _flat_run(bd):
-    """Longest run of consecutive boundary vertices that lie within the
-    contact tolerance of the chord between their neighbours."""
-    a, c = np.roll(bd, 1, axis=0), np.roll(bd, -1, axis=0)
-    u, w = bd - a, c - a
-    det = np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
-    flat = det <= 4e-9 * max(1.0, float(np.abs(bd).max())) * np.hypot(w[:, 0], w[:, 1])
-    if flat.all():
-        return len(bd)
-    # run lengths over the cycle read twice
-    edges = np.diff(np.concatenate(([0], flat, flat, [0])).astype(np.int8))
-    return int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0))
-
-
 def _contact_ends(bd, on_r, on_b, k_hi, k_lo, c, s, h):
     """For the directions (c, s) with extreme vertices k_hi (farthest
     along (c, s)) and k_lo (farthest against it): an (8, k) array of the
@@ -224,8 +211,7 @@ def tangent_pairs(inst: PolygonInstance) -> list[TangentPair]:
     # contact ends per direction; a direction whose contact set reaches
     # its window is measured again in a window twice as wide
     contact = np.empty((8, len(theta)), dtype=np.intp)
-    todo = np.arange(len(theta))
-    h = _flat_run(bd) + 2
+    todo, h = np.arange(len(theta)), 2
     while len(todo):
         contact[:, todo], hit = _contact_ends(bd, on_r, on_b, k_hi[todo], k_lo[todo],
                                               c[todo], s[todo], h)

@@ -351,16 +351,39 @@ def test_array_sweep_on_regular_polygons(n, k):
     assert_matches_sweep(regular_even_polygon(n, k))
 
 
-def test_array_sweep_on_collinear_runs(monkeypatch):
+def test_array_sweep_on_collinear_runs():
+    """Contact sets longer than the first window: they are measured again
+    in wider ones."""
     for k in (2, 5, 6, 9):
         assert_matches_sweep(collinear_hexagon(k))
     for k in (1, 7, 14, 15, 16):
         assert_matches_sweep(long_collinear_run(k))
-    # too narrow a first window: the contact sets that reach it are
-    # measured again in wider ones
-    monkeypatch.setattr(convex, "_flat_run", lambda bd: 0)
-    for k in (1, 7, 14, 15, 16):
-        assert_matches_sweep(long_collinear_run(k))
+
+
+def half_disk(n, m, k):
+    """A half-disk with n arc vertices whose diameter is cut into m
+    collinear pieces, split at vertices 0 and k."""
+    arc = [(math.cos(math.pi * i / n), math.sin(math.pi * i / n)) for i in range(n)]
+    return build_instance(*split_cycle(arc + [(-1 + 2 * i / m, 0.0) for i in range(m)], k))
+
+
+@pytest.mark.parametrize("k", [1000, 2050])
+def test_window_work_is_linear(monkeypatch, k):
+    """Only the directions whose contact sets hold the long run widen
+    their windows. The first round reads 5 entries for each of about 2N
+    directions, so the entries read over all rounds stay near 10 N."""
+    inner = convex._contact_ends
+    work = []
+
+    def counted(bd, on_r, on_b, k_hi, k_lo, c, s, h):
+        work.append(len(c) * min(2 * h + 1, len(bd)))
+        return inner(bd, on_r, on_b, k_hi, k_lo, c, s, h)
+
+    inst = half_disk(2000, 100, k)
+    monkeypatch.setattr(convex, "_contact_ends", counted)
+    pairs = tangent_pairs(inst)
+    assert sum(work) <= 12 * len(inst.boundary)
+    assert pairs == tangent_pairs_sweep(inst)
 
 
 @settings(max_examples=60, deadline=None)
