@@ -2,20 +2,19 @@
 
 `tangent_pairs` is a rotating-calipers sweep (Toussaint 1983) done as
 array code over all caliper directions at once. The caliper normal turns
-through every edge normal of the boundary and the midpoints between
-consecutive ones, sorted once in O(N log N). The outward edge normals of
-a convex cycle turn monotonically, so each direction's extreme vertex on
-either supporting line is found by binary search over their angles, in
-O(N log N) for all directions. A direction's contact set, the vertices
-within a tolerance of its supporting line, is read from a window of
-indices around that vertex, two to either side. A contact set that
-reaches its window's edge is measured again in one twice as wide, so only
-the directions with long contact sets pay for them, and the sweep's work
-and memory stay O(N + total contact size). Whether a contact lies on R or
-on B, and its curve parameter, is read off its boundary index. The closest
-points of the two contact segments are computed for all directions as
-arrays, and repeated pairs are dropped before the pairs are turned into
-curve parameters one by one.
+through the normal (theta + pi/2) mod pi of every edge and the midpoints
+between consecutive ones, sorted once in O(N log N). The outward edge
+normals of a convex cycle turn monotonically, so each direction's extreme
+vertex on either supporting line is a binary search over their angles. A
+direction's contact set, the vertices within 1e-9 * max |extreme dot| of
+its supporting line, is read from a window of indices around that vertex,
+two to either side, and measured again in one twice as wide where it
+reaches the window's edge, so the sweep's work and memory stay O(N +
+total contact size). A contact's curve and parameter are read off its
+boundary index. The closest points of the two contact segments are
+computed for all directions as arrays, and a pair is kept once per exact
+(r*, b*). No tolerance is in units of length, so scaling the input by a
+power of two scales r*, b* and the cost exactly and keeps the waypoints.
 
 Each antipodal tangent pair splits a matching into two endpoint fans around
 the shared endpoints and a middle part that matches points lying on a
@@ -45,7 +44,7 @@ import numpy as np
 from .geometry import MatchingPath, ParamPoint, Point2, PolygonInstance, boundary_params
 
 _TOL = 1e-9
-_ON_CURVE_TOL = 1e-7  # a point this close to a curve edge lies on it
+_ON_CURVE_TOL = 1e-7  # a point this close to a curve edge, relative to its length, lies on it
 
 
 @dataclass(frozen=True)
@@ -63,14 +62,10 @@ def _param_between(curve, pt, p0, p1):
     for i in range(min(p0, p1), max(p0, p1)):
         a, b = curve.pts[i - 1], curve.pts[i]
         dx, dy = b[0] - a[0], b[1] - a[1]
-        L2 = dx * dx + dy * dy
-        if L2 == 0:
-            if math.hypot(pt[0] - a[0], pt[1] - a[1]) <= _ON_CURVE_TOL:
-                return float(i)
-            continue
-        t = ((pt[0] - a[0]) * dx + (pt[1] - a[1]) * dy) / L2
+        t = ((pt[0] - a[0]) * dx + (pt[1] - a[1]) * dy) / (dx * dx + dy * dy)
         t = min(max(t, 0.0), 1.0)
-        if math.hypot(pt[0] - a[0] - t * dx, pt[1] - a[1] - t * dy) <= _ON_CURVE_TOL:
+        off = math.hypot(pt[0] - a[0] - t * dx, pt[1] - a[1] - t * dy)
+        if off <= _ON_CURVE_TOL * math.hypot(dx, dy):
             return i + t
     return None
 
@@ -80,36 +75,16 @@ def _check_convex(inst: PolygonInstance):
         raise ValueError("instance is not convex")
 
 
-def _round(x, ndigits):
-    """round(v, ndigits) of every value v of the array x, bit for bit.
-
-    rint(x * 10**ndigits) is the correctly rounded decimal wherever that
-    product lies farther than its rounding error from a half-integer, and
-    dividing it by 10**ndigits gives the double nearest that decimal, as
-    round() does; the other values (among them every value of 2**51 or
-    more after scaling) go through round()."""
-    scale = 10.0 ** ndigits
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = x * scale
-        out = np.rint(q) / scale
-        # an overflowed q gives nan here and goes through round() too
-        tie = ~(np.abs(np.abs(q - np.floor(q)) - 0.5) > 4 * np.spacing(np.abs(q)))
-    for i in np.flatnonzero(tie).tolist():
-        out.flat[i] = round(float(x.flat[i]), ndigits)
-    return out
-
-
 def _caliper_directions(bd):
-    """Caliper normal angles in [0, pi): every edge normal plus the
-    midpoints between consecutive normals (vertex-vertex antipodal
-    events), rounded to 12 decimals, sorted and without repeats."""
+    """Caliper normal angles in [0, pi): the normal (theta + pi/2) mod pi
+    of every edge plus the midpoints between consecutive normals
+    (vertex-vertex antipodal events), sorted and without repeats."""
     theta = np.array([math.atan2(dy, dx) for dx, dy in (np.roll(bd, -1, axis=0) - bd).tolist()])
-    ang = np.unique(np.concatenate(((theta + 0.5 * math.pi) % math.pi,
-                                    (theta - 0.5 * math.pi) % math.pi)))
+    ang = np.unique((theta + 0.5 * math.pi) % math.pi)
     wrap = np.zeros(len(ang))
     wrap[-1] = math.pi
     mids = (ang + np.roll(ang, -1) + wrap) * 0.5 % math.pi
-    return np.unique(_round(np.concatenate((ang, mids)), 12))
+    return np.unique(np.concatenate((ang, mids)))
 
 
 def _extreme_vertices(bd, angles):
@@ -134,7 +109,8 @@ def _contact_ends(bd, on_r, on_b, k_hi, k_lo, c, s, h):
     that it may go on beyond.
 
     A contact vertex lies within tol of its side's maximum, tol =
-    1e-9 * max(1, |top dot of either side|); the dot products are those of
+    1e-9 * max(|top dot of either side|), which is at least 1e-9 times
+    half the polygon's width along (c, s); the dot products are those of
     the scalar x*c + y*s."""
     nb = len(bd)
     full = 2 * h + 1 >= nb
@@ -144,7 +120,7 @@ def _contact_ends(bd, on_r, on_b, k_hi, k_lo, c, s, h):
         idx = (k[:, None] + off) % nb
         v = sign * (bd[idx, 0] * c[:, None] + bd[idx, 1] * s[:, None])
         sides.append((idx, v, v.max(axis=1)))
-    tol = 1e-9 * np.maximum(np.maximum(np.abs(sides[0][2]), np.abs(sides[1][2])), 1.0)
+    tol = 1e-9 * np.maximum(np.abs(sides[0][2]), np.abs(sides[1][2]))
     ends, hit = [], np.zeros(len(c), dtype=bool)
     for idx, v, top in sides:
         near = np.abs(v - top[:, None]) <= tol[:, None]
@@ -234,11 +210,11 @@ def tangent_pairs(inst: PolygonInstance) -> list[TangentPair]:
     ends = np.stack([r0, r1, b0, b1, rows // 2])[:, first].T.tolist()
     seen = set()
     out = []
-    for (i0, i1, j0, j1, d), (rx, ry, bx, by), key in zip(ends, pq.tolist(),
-                                                          map(tuple, _round(pq, 9).tolist())):
+    for (i0, i1, j0, j1, d), key in zip(ends, map(tuple, pq.tolist())):
         if key in seen:
             continue
         seen.add(key)
+        rx, ry, bx, by = key
         xr = _param_between(inst.R, (rx, ry), rpar[i0], rpar[i1])
         yb = _param_between(inst.B, (bx, by), bpar[j0], bpar[j1])
         out.append(((xr if xr is not None else 0.0, -(yb if yb is not None else 0.0)),
@@ -330,18 +306,15 @@ def _split(inst: PolygonInstance, pair: TangentPair, fans) -> Optional[_Split]:
     R, B = inst.R, inst.B
     s1, s2 = R.vertex(1), R.vertex(R.n)
     vx, vy = pair.r_star[0] - pair.b_star[0], pair.r_star[1] - pair.b_star[1]
-    d_star = math.hypot(vx, vy)
-    if d_star < 1e-15:
-        u = (pair.direction[0], pair.direction[1])
-    else:
-        u = (-vy / d_star, vx / d_star)
+    d_star = math.hypot(vx, vy)  # at least the polygon's width: r*, b* lie on opposite tangents
+    u = (-vy / d_star, vx / d_star)
     if u[0] * (s2[0] - s1[0]) + u[1] * (s2[1] - s1[1]) < 0:
         u = (-u[0], -u[1])
     c1 = u[0] * s1[0] + u[1] * s1[1]
     c2 = u[0] * s2[0] + u[1] * s2[1]
     u = np.array(u)
     psis = [R.pts @ u, B.pts @ u]
-    tol = _TOL * max(1.0, *(float(np.abs(psi).max()) for psi in psis))
+    tol = _TOL * max(float(np.abs(psi).max()) for psi in psis)
 
     params, fan_cost = [], 0.0
     for curve, psi, (head, tail) in zip((R, B), psis, fans):

@@ -227,10 +227,11 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     """Triangulate a simple CCW polygon by ear clipping.
 
     Returns index triples into poly. Collinear vertices are tolerated.
-    Every step clips the lowest-index vertex that is an ear: not reflex at
-    its current neighbours, and no other remaining vertex in the closed
-    triangle they span (a vertex whose neighbours coincide is clipped
-    without a triangle). An ear test looks only at the vertices in a
+    Every step clips the lowest-index vertex that is an ear: a strict left
+    turn at its current neighbours, and no other remaining vertex in the
+    closed triangle they span (a vertex whose neighbours coincide is
+    clipped without a triangle). A flat vertex is no ear, since clipping
+    it would add no triangle. An ear test looks only at the vertices in a
     bounding box around the triangle, and a vertex is tested again only
     when a neighbour or the vertex that blocked it is clipped.
 
@@ -283,10 +284,8 @@ def ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
         i0, i2 = prv[k], nxt[k]
         a, b, c = P[i0], P[k], P[i2]
         cross = orient(a, b, c)
-        if cross < 0:
-            return False
-        if cross == 0 and a == c:
-            return True
+        if cross <= 0:  # a flat vertex is no ear: clipping it adds no triangle
+            return cross == 0 and a == c
         for j in candidates(a, b, c, cross):
             if j != i0 and j != k and j != i2 and _point_in_triangle(P[j], a, b, c):
                 blocks[j].append(k)
@@ -382,7 +381,7 @@ def _collinear_monotone(curve: PolyCurve, a, b) -> bool:
     d = d / L
     proj = (curve.pts - np.array(a)) @ d
     off = np.abs((curve.pts - np.array(a)) @ np.array([-d[1], d[0]]))
-    return bool(np.all(off < 1e-9) and np.all(np.diff(proj) > 0))
+    return bool(np.all(off < 1e-9 * L) and np.all(np.diff(proj) > 0))
 
 
 def build_instance(R, B) -> PolygonInstance:

@@ -612,6 +612,15 @@ def curves_cross_pairwise(R, B) -> bool:
     return False
 
 
+# polygons with a zero turn where the shared start point lies inside a straight side
+STRAIGHT_ANGLE_INPUTS = [
+    ([(0, 2), (0, 0), (3, 0), (3, 3)], [(0, 2), (0, 3), (3, 3)]),
+    ([(1, 0), (2, 0), (2, 2), (1, 2)], [(1, 0), (0, 0), (0, 2), (1, 2)]),
+    ([(1, 0), (2, 0), (0, 2)], [(1, 0), (0, 0), (0, 2)]),
+    ([(1, 0), (2, 0), (2, 1), (1, 1), (1, 2)], [(1, 0), (0, 0), (0, 2), (1, 2)]),  # L-shape
+]
+
+
 def ear_clip_reference(poly):
     """Ear clipping that rescans from the lowest-index vertex after every
     clip and tests every remaining vertex against every candidate ear."""
@@ -632,12 +641,13 @@ def ear_clip_reference(poly):
             if cross < 0:
                 continue
             if cross == 0:
-                # degenerate ear: clip it only if a and c coincide-free
-                da = math.hypot(*(c - a))
-                if da == 0.0:
+                # a flat vertex is an ear only where its neighbours coincide,
+                # and it is clipped without a triangle
+                if math.hypot(*(c - a)) == 0.0:
                     idx.pop(pos)
                     ear_found = True
                     break
+                continue
             ok = True
             for j in idx:
                 if j in (i0, i1, i2):
@@ -647,8 +657,7 @@ def ear_clip_reference(poly):
                     break
             if not ok:
                 continue
-            if cross > 0:
-                tris.append((i0, i1, i2))
+            tris.append((i0, i1, i2))
             idx.pop(pos)
             ear_found = True
             break
@@ -694,20 +703,19 @@ def seg_seg_closest_reference(a0, a1, b0, b1):
 
 
 def caliper_directions_reference(xy):
-    """Caliper normal angles in [0, pi): every edge normal plus the
-    midpoints between consecutive normals, rounded to 12 decimals and
-    sorted, one vertex at a time."""
+    """Caliper normal angles in [0, pi): the normal (theta + pi/2) mod pi
+    of every edge plus the midpoints between consecutive normals, sorted
+    and without repeats, one vertex at a time."""
     nb = len(xy)
     angles = set()
     for k in range(nb):
         a, b = xy[k], xy[(k + 1) % nb]
         theta = math.atan2(b[1] - a[1], b[0] - a[0])
         angles.add((theta + 0.5 * math.pi) % math.pi)
-        angles.add((theta - 0.5 * math.pi) % math.pi)
     ang = sorted(angles)
     mids = [(ang[k] + ang[(k + 1) % len(ang)] + (math.pi if k + 1 == len(ang) else 0)) * 0.5 % math.pi
             for k in range(len(ang))]
-    return sorted(set(round(t, 12) for t in ang + mids))
+    return sorted(set(ang + mids))
 
 
 def _advance(xy, k, c, s):
@@ -764,7 +772,7 @@ def tangent_pairs_sweep(inst):
         c, s = math.cos(theta), math.sin(theta)
         hi = _advance(xy, hi, c, s)
         lo = _advance(xy, lo, -c, -s)
-        tol = 1e-9 * max(1.0, abs(xy[hi][0] * c + xy[hi][1] * s),
+        tol = 1e-9 * max(abs(xy[hi][0] * c + xy[hi][1] * s),
                          abs(xy[lo][0] * c + xy[lo][1] * s))
         hi_ks = _contact(xy, hi, c, s, tol)
         lo_ks = _contact(xy, lo, -c, -s, tol)
@@ -774,7 +782,7 @@ def tangent_pairs_sweep(inst):
             if not rk or not bk:
                 continue
             rp, bp = seg_seg_closest_reference(xy[rk[0]], xy[rk[-1]], xy[bk[0]], xy[bk[-1]])
-            key = (round(rp[0], 9), round(rp[1], 9), round(bp[0], 9), round(bp[1], 9))
+            key = (rp[0], rp[1], bp[0], bp[1])
             if key in seen:
                 continue
             seen.add(key)

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geofrechet import convex, geometry
@@ -294,6 +294,43 @@ def test_ellipses_split_few_pairs(monkeypatch, n, r):
     assert len(seen) <= 0.15 * len(pairs)
 
 
+# -- scale: the solver has no constant in units of length -------------------
+
+workload_ellipses = st.builds(lambda n, r: ellipse_instance(1000 * n + r, n),
+                              st.sampled_from([80, 160, 320]), st.integers(0, 1))
+worst_instances = st.builds(gen_convex_worst, st.integers(min_value=12, max_value=100),
+                            st.integers(min_value=0, max_value=10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(convex_instances, workload_ellipses, worst_instances),
+       st.integers(min_value=-20, max_value=30))
+def test_power_of_two_scaling_is_exact(inst, j):
+    """Scaling by 2^j is exact in floating point, and every tolerance of the
+    solver is relative to a length of the input, so the scaled answer is
+    2^j times the unscaled one, bit for bit."""
+    s = 2.0 ** j
+    try:
+        scaled = build_instance(inst.R.pts * s, inst.B.pts * s)
+    except ValueError:  # the area floor of build_instance rejects the smallest
+        assume(False)
+    want, got = convex_frechet(inst), convex_frechet(scaled)
+    assert got.cost == s * want.cost
+    assert got.waypoints == want.waypoints
+    assert len(tangent_pairs(scaled)) == len(tangent_pairs(inst))
+
+
+@pytest.mark.parametrize("n", [160, 320])
+@pytest.mark.parametrize("s", [1e-5, 1e-6])
+def test_tiny_ellipses_keep_their_pairs(n, s):
+    """Scaled down by 1e-5 and 1e-6, the workload ellipses keep their tangent
+    pairs (up to one pair within rounding of another) and their cost."""
+    inst = ellipse_instance(1000 * n, n)
+    scaled = build_instance(inst.R.pts * s, inst.B.pts * s)
+    assert abs(len(tangent_pairs(scaled)) - len(tangent_pairs(inst))) <= 1
+    assert convex_frechet(scaled).cost == pytest.approx(s * convex_frechet(inst).cost, rel=1e-12)
+
+
 # -- the array sweep repeats the scalar sweep --------------------------------
 
 REGULAR_SPLITS = [(4, 2), (6, 3), (6, 2), (8, 4), (12, 5), (20, 10), (64, 32), (64, 17), (100, 50)]
@@ -310,22 +347,6 @@ def assert_matches_sweep(inst):
     assert tangent_pairs(inst) == tangent_pairs_sweep(inst)
     got = convex._caliper_directions(inst.boundary)
     assert got.tolist() == caliper_directions_reference(inst.boundary.tolist())
-
-
-@pytest.mark.parametrize("ndigits", [9, 12])
-def test_array_round_is_round(ndigits):
-    """_round repeats round() bit for bit, signed zeros included: on
-    random values, on decimal half-points and their neighbours, and on
-    values too large for the array path."""
-    rng = random.Random(ndigits)
-    vals = [rng.uniform(-4, 4) for _ in range(20000)]
-    for _ in range(5000):
-        h = (rng.randint(-4 * 10 ** ndigits, 4 * 10 ** ndigits) + 0.5) / 10 ** ndigits
-        vals += [h, math.nextafter(h, -math.inf), math.nextafter(h, math.inf)]
-    vals += [0.0, -0.0, 1e-13, -1e-13, 5e-10, -5e-10, 3e6, -7.25e7 + 1e-9, 1e300]
-    got = convex._round(np.array(vals), ndigits)
-    want = np.array([round(v, ndigits) for v in vals])
-    assert got.tobytes() == want.tobytes()
 
 
 def test_array_sweep_on_random_convex():

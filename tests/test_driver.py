@@ -18,7 +18,7 @@ from geofrechet import nnprofile
 from geofrechet.nnprofile import nn_profile, nn_profile_reverse
 from geofrechet.oracle import frechet_bisect, freespace_decide
 
-from helpers import random_instance
+from helpers import STRAIGHT_ANGLE_INPUTS, random_instance
 
 
 def square():
@@ -138,6 +138,19 @@ def test_optimize_convex_agreement(eps):
         want = convex_frechet(inst).cost
         got = approx_optimize(inst, eps)
         assert want * (1 - 1e-6) <= got <= want * (1 + eps) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("R,B", STRAIGHT_ANGLE_INPUTS)
+def test_straight_angle_inputs_solved(R, B):
+    """The polygons with a zero turn at the shared start build and are
+    answered inside the window; the convex ones exactly."""
+    inst = build_instance(R, B)
+    want = frechet_bisect(inst, "geodesic", tol=1e-9)
+    got = approx_optimize(inst, 0.1)
+    assert want * (1 - 1e-6) <= got <= want * 1.1 * (1 + 1e-6)
+    if inst.convex:
+        exact = frechet_bisect(inst, "euclidean", tol=1e-10)
+        assert convex_frechet(inst).cost == pytest.approx(exact, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(6))

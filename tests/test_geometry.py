@@ -15,8 +15,9 @@ from geofrechet.geometry import (MatchingPath, ParamPoint, PolyCurve, _merge_dup
                                  instance_from_json_dict, instance_to_json_dict,
                                  is_convex_cycle)
 
-from helpers import (convex_flag_reference, ear_clip_reference, merge_duplicates_reference,
-                     perfbench_workloads, random_instance, reference_build_instance)
+from helpers import (STRAIGHT_ANGLE_INPUTS, convex_flag_reference, ear_clip_reference,
+                     merge_duplicates_reference, perfbench_workloads, random_instance,
+                     reference_build_instance)
 
 
 SQUARE_R = [(0, 0), (1, 0)]
@@ -52,6 +53,24 @@ def test_degenerate_strip_accepted():
     inst = build_instance([(0, 0), (2, 0)], [(0, 0), (1, 0), (2, 0)])
     assert inst.degenerate
     assert inst.area() == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("j", [-30, 30])
+def test_strips_recognized_at_any_scale(j):
+    s = 2.0 ** j
+    for R, B in (([(0, 0), (2, 0)], [(0, 0), (1, 0), (2, 0)]),
+                 ([(1, 1), (4, 5)], [(1, 1), (2.5, 3), (4, 5)])):
+        assert build_instance(np.array(R) * s, np.array(B) * s).degenerate
+
+
+def test_tiny_polygons_are_no_strips():
+    """A polygon scaled by 2^-30 falls below the area floor of build_instance,
+    but its vertices lie off the endpoint chord relative to the chord's
+    length, so it is rejected rather than answered as a strip."""
+    for inst in (perfbench_workloads().sweep_instance(25), gen_convex(7, 2)):
+        s = 2.0 ** -30
+        with pytest.raises(ValueError, match="degenerate"):
+            build_instance(inst.R.pts * s, inst.B.pts * s)
 
 
 def test_curve_eval_and_clamp():
@@ -159,6 +178,19 @@ def test_boundary_winding_twice_is_rejected():
         build_instance(R, B)
     assert build_outcome(build_instance, R, B) == \
         build_outcome(reference_build_instance, R, B)
+
+
+@pytest.mark.parametrize("R,B", STRAIGHT_ANGLE_INPUTS)
+def test_straight_angle_is_no_ear(R, B):
+    """A vertex with a zero turn is no ear: clipping it would add no
+    triangle. The triangles have positive areas that add up to the
+    polygon's, and the build matches the all-pairs references."""
+    inst = build_instance(R, B)
+    bd = inst.boundary
+    areas = [0.5 * geometry.orient(bd[a], bd[b], bd[c]) for a, b, c in inst.triangles]
+    assert len(areas) == len(bd) - 2 and min(areas) > 0
+    assert sum(areas) == pytest.approx(inst.area(), rel=1e-12)
+    assert build_outcome(build_instance, R, B) == build_outcome(reference_build_instance, R, B)
 
 
 @pytest.mark.parametrize("seed", range(8))
